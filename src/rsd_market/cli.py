@@ -194,6 +194,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
             "solver_welfare": solver_welfare,
             "solver_allocation": _allocation_json(solver_alloc),
             "agreement": abs(solver_welfare - brute_welfare) <= 1e-9,
+            "allocation_agreement": solver_alloc == brute_alloc,
         }
     )
     return 0
@@ -283,7 +284,6 @@ def _cmd_sim_housing(args: argparse.Namespace) -> int:
         n_agents=args.agents,
         wealth=housing.parse_wealth(args.wealth),
         cost=mechanisms.parse_cost(args.tau),
-        n_reps=args.reps,
     )
     batch = housing.batch_run(config, args.reps, seed, parallelism=args.threads)
     out = Path(args.out)

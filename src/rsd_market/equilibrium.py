@@ -67,10 +67,27 @@ def _submatrix(instance: MarketInstance, items: Sequence[int]) -> np.ndarray:
     return np.vstack([instance.row(j)[cols] for j in range(instance.n_agents)])
 
 
-def _best_assignment_value(values: np.ndarray) -> float:
-    """Max total value assigning every column (item) to a distinct row (agent)."""
-    rows, cols = linear_sum_assignment(values, maximize=True)
-    return float(values[rows, cols].sum())
+def _tight_edges(values: np.ndarray, match: np.ndarray) -> np.ndarray:
+    """Zero-reduced-cost edges of a square assignment problem, given an optimal matching.
+
+    Column potentials are the least fixed point, floored at 0, of
+        p[c] >= p[a(j)] + V[j, c] - V[j, a(j)]
+    (a Bellman-Ford longest-path sweep, vectorized over agents); with
+    ``u[j] = V[j, a(j)] - p[a(j)]`` the pair ``(u, p)`` is an optimal dual.
+    """
+    m = len(match)
+    own = values[np.arange(m), match]
+    gain = values - own[:, None]
+    potentials = np.zeros(m)
+    for _sweep in range(m + 1):
+        bound = np.max(potentials[match][:, None] + gain, axis=0)
+        if not np.any(bound > potentials + 1e-12):
+            break
+        np.maximum(potentials, bound, out=potentials)
+    else:
+        raise InternalInvariantError("assignment solve returned a non-optimal matching")
+    utility = own - potentials[match]
+    return utility[:, None] + potentials[None, :] - values <= _ATOL
 
 
 def max_welfare_allocation(
@@ -82,6 +99,18 @@ def max_welfare_allocation(
     be left unmatched when there are fewer items than agents.  Ties are broken
     toward the lexicographically smallest assignment vector, with ``None``
     sorting after every real item id.
+
+    One assignment solve decides every tie.  The k items are padded with
+    m - k zero-valued null columns (sorting after every item) and the square
+    problem is solved once.  By Shapley-Shubik (1971) a single optimal dual
+    supports every efficient allocation, so the optimal assignments are
+    exactly the perfect matchings of the tight (zero-reduced-cost) graph of
+    the dual read off that solution.  Agents are then fixed in id order, each
+    to its smallest tight column that is either its current column or reaches
+    that column by an alternating path through the columns still unfixed (arc
+    c -> c' when the holder of c is tight to c'); the matching is rotated
+    along the path.  Each agent costs one reverse breadth-first search over
+    the columns, O(m^2), so the tie-break is O(m^3) after the solve.
     """
     if item_subset is None:
         item_subset = range(instance.n_items)
@@ -91,44 +120,52 @@ def max_welfare_allocation(
     if any(i < 0 or i >= instance.n_items for i in items):
         raise ValueError("item_subset contains out-of-range ids")
     m = instance.n_agents
-    if len(items) > m:
+    k = len(items)
+    if k > m:
         raise ValueError("cannot assign more items than agents")
 
-    values = _submatrix(instance, items)
-    best = _best_assignment_value(values)
+    values = np.zeros((m, m))
+    values[:, :k] = _submatrix(instance, items)
+    _, match = linear_sum_assignment(values, maximize=True)
+    tight = _tight_edges(values, match)
 
-    # Fix agents one at a time to the smallest choice that preserves optimality.
-    assignment: list[int | None] = [None] * m
-    free_agents = list(range(m))
-    free_cols = list(range(len(items)))
-    fixed_value = 0.0
+    holder = np.empty(m, dtype=np.int64)
+    holder[match] = np.arange(m)
+    unfixed = np.ones(m, dtype=bool)
     for agent in range(m):
-        free_agents.remove(agent)
-        chosen: int | None = None
-        for col in free_cols:
-            rest_cols = [c for c in free_cols if c != col]
-            if len(rest_cols) > len(free_agents):
-                continue
-            rest = fixed_value + values[agent, col]
-            if rest_cols:
-                rest += _best_assignment_value(values[np.ix_(free_agents, rest_cols)])
-            if rest >= best - _ATOL:
-                chosen = col
-                break
-        if chosen is None:
-            # Leaving this agent unmatched must itself be optimal-compatible.
-            if len(free_cols) > len(free_agents):
-                raise InternalInvariantError("tie-break search exhausted all candidates")
-            rest = fixed_value
-            if free_cols:
-                rest += _best_assignment_value(values[np.ix_(free_agents, free_cols)])
-            if rest < best - _ATOL:
+        target = int(match[agent])
+        candidates = np.flatnonzero(tight[agent] & unfixed)
+        if candidates.size == 0:
+            raise InternalInvariantError("tie-break search exhausted all candidates")
+        best = int(candidates[0])
+        if best != target:
+            # Reverse breadth-first search: which unfixed columns reach the
+            # agent's current column along alternating paths?
+            reached = np.zeros(m, dtype=bool)
+            reached[target] = True
+            successor = np.full(m, -1, dtype=np.int64)
+            frontier = np.array([target])
+            while frontier.size and not reached[best]:
+                pending = np.flatnonzero(unfixed & ~reached)
+                hits = tight[np.ix_(holder[pending], frontier)]
+                found = hits.any(axis=1)
+                successor[pending[found]] = frontier[hits[found].argmax(axis=1)]
+                frontier = pending[found]
+                reached[frontier] = True
+            reachable = candidates[reached[candidates]]
+            if reachable.size == 0:
                 raise InternalInvariantError("tie-break search lost the optimum")
-        else:
-            assignment[agent] = items[chosen]
-            free_cols.remove(chosen)
-            fixed_value += values[agent, chosen]
-    return Allocation(tuple(assignment))
+            best = int(reachable[0])
+            path = [best]
+            while path[-1] != target:
+                path.append(int(successor[path[-1]]))
+            movers = holder[path[:-1]]
+            match[movers] = path[1:]
+            holder[path[1:]] = movers
+            match[agent] = best
+            holder[best] = agent
+        unfixed[best] = False
+    return Allocation(tuple(items[c] if c < k else None for c in match.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,6 @@ class SimConfig:
     budget_enforced: bool = True
     sellers_exit_after_sale: bool = False
     augmented_picks: bool = True
-    n_reps: int = 1
 
     def __post_init__(self) -> None:
         rooms = self.n_agents if self.n_rooms is None else self.n_rooms
@@ -109,8 +108,6 @@ class SimConfig:
             raise ValueError("need at least one agent")
         if rooms != self.n_agents:
             raise ValueError("the market is square: n_rooms must equal n_agents")
-        if self.n_reps < 1:
-            raise ValueError("replication count must be >= 1")
 
     def trade_policy(self) -> TradePolicy:
         return TradePolicy(
@@ -426,17 +423,13 @@ class BatchReport:
         return np.histogram(self.pooled_delta, bins=bins)
 
 
-def rep_seed(master_seed: int, rep: int) -> int:
-    return derive_seed(master_seed, rep)
-
-
 def batch_run(
     config: SimConfig, n_reps: int, master_seed: int, parallelism: int = 1
 ) -> BatchReport:
     """Independent replications on derived seeds, aggregated deterministically."""
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
-    seeds = [rep_seed(master_seed, r) for r in range(n_reps)]
+    seeds = [derive_seed(master_seed, r) for r in range(n_reps)]
     if parallelism > 1:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             reports = list(pool.map(lambda s: run_housing_sim(config, s), seeds))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rsd_market.cli import dispatch
-from rsd_market.market import save_instance
+from rsd_market.market import MarketInstance, save_instance
 from rsd_market.scenarios import get_scenario, scenario_names
 
 
@@ -103,6 +103,16 @@ class TestDispatch:
         assert code == 0
         assert payload["optimal_welfare"] == 22.0
         assert payload["agreement"] is True
+        assert payload["allocation_agreement"] is True
+        assert payload["solver_allocation"] == [1, 2, 0]
+
+    def test_oracle_check_all_equal_instance(self, capsys, tmp_path):
+        inst = tmp_path / "m.json"
+        save_instance(MarketInstance.from_matrix(np.full((3, 3), 5.0)), inst)
+        code, payload = run_json(capsys, ["oracle", "check", "--instance", str(inst)])
+        assert code == 0
+        assert payload["allocation_agreement"] is True
+        assert payload["solver_allocation"] == payload["optimal_allocation"] == [0, 1, 2]
 
     def test_equilibrium_solve_with_endowment(self, capsys, tmp_path):
         sc = get_scenario("example-3.1")

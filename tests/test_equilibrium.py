@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
+from rsd_market import equilibrium
 from rsd_market.equilibrium import (
     brute_force_optimal,
     ce_prices,
@@ -16,6 +21,64 @@ from rsd_market.errors import PreconditionError
 from rsd_market.market import Allocation, MarketInstance, total_welfare
 from rsd_market.mechanisms import serial_dictatorship
 from rsd_market.scenarios import get_scenario
+
+
+def _assignment_value(values):
+    rows, cols = linear_sum_assignment(values, maximize=True)
+    return float(values[rows, cols].sum())
+
+
+def _resolve_greedy(instance, items):
+    """Reference tie-break: fix agents in id order to the smallest item whose
+    best completion (one assignment re-solve per candidate) stays optimal."""
+    values = instance.dense_matrix()[:, items]
+    best = _assignment_value(values)
+    assignment = [None] * instance.n_agents
+    free_agents = list(range(instance.n_agents))
+    free_cols = list(range(len(items)))
+    fixed_value = 0.0
+    for agent in range(instance.n_agents):
+        free_agents.remove(agent)
+        for col in free_cols:
+            rest_cols = [c for c in free_cols if c != col]
+            if len(rest_cols) > len(free_agents):
+                continue
+            rest = fixed_value + values[agent, col]
+            if rest_cols:
+                rest += _assignment_value(values[np.ix_(free_agents, rest_cols)])
+            if rest >= best - 1e-9:
+                assignment[agent] = items[col]
+                free_cols.remove(col)
+                fixed_value += values[agent, col]
+                break
+    return Allocation(tuple(assignment))
+
+
+@st.composite
+def tie_heavy_markets(draw):
+    """Integer values 0..4 on a random item subset with a random endowment of
+    it; items outside the subset are worth nothing, so minimal prices exist."""
+    n_agents = draw(st.integers(1, 40))
+    n_items = draw(st.integers(1, 40))
+    values = draw(arrays(np.int64, (n_agents, n_items), elements=st.integers(0, 4)))
+    items = sorted(
+        draw(
+            st.lists(
+                st.integers(0, n_items - 1),
+                min_size=1,
+                max_size=min(n_agents, n_items),
+                unique=True,
+            )
+        )
+    )
+    outside = np.ones(n_items, dtype=bool)
+    outside[items] = False
+    values[:, outside] = 0
+    holders = draw(st.permutations(range(n_agents)))
+    endowment = [None] * n_agents
+    for agent, item in zip(holders, items):
+        endowment[agent] = item
+    return MarketInstance.from_matrix(values.astype(float)), items, Allocation(tuple(endowment))
 
 
 @pytest.fixture
@@ -53,6 +116,37 @@ class TestMaxWelfare:
         inst = MarketInstance.from_matrix(np.full((3, 3), 5.0))
         assert max_welfare_allocation(inst).assignment == (0, 1, 2)
 
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(tie_heavy_markets())
+    def test_matches_resolve_greedy(self, market):
+        inst, items, endowment = market
+        alloc = max_welfare_allocation(inst, items)
+        reference = _resolve_greedy(inst, items)
+        assert alloc == reference
+        prices = ce_prices(inst, endowment, alloc)
+        assert np.array_equal(prices.prices, ce_prices(inst, endowment, reference).prices)
+        assert verify_ce(inst, endowment, alloc, prices)
+
+    @pytest.mark.parametrize(
+        "values, items",
+        [
+            (np.random.default_rng(1).integers(0, 5, (320, 320)), None),
+            (np.random.default_rng(2).normal(100.0, 30.0, (320, 320)), None),
+            (np.random.default_rng(3).integers(0, 5, (320, 400)), range(0, 400, 2)),
+        ],
+        ids=["ties", "normal", "subset"],
+    )
+    def test_one_assignment_solve(self, monkeypatch, values, items):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return linear_sum_assignment(*args, **kwargs)
+
+        monkeypatch.setattr(equilibrium, "linear_sum_assignment", counting)
+        max_welfare_allocation(MarketInstance.from_matrix(values.astype(float)), items)
+        assert len(calls) == 1
+
 
 class TestBruteForce:
     def test_dead_end_table(self, dead_end_market):
@@ -77,12 +171,23 @@ class TestBruteForce:
             brute_force_optimal(inst)
 
     def test_agrees_with_solver_on_random_markets(self):
+        # Square markets on all items, then rectangular ones on random item
+        # subsets; every other market draws tie-heavy values in 0..2.
         rng = np.random.default_rng(2024)
-        for _ in range(50):
+        for trial in range(150):
             n = int(rng.integers(2, 8))
-            inst = MarketInstance.from_matrix(rng.integers(-10, 40, (n, n)).astype(float))
-            _, best = brute_force_optimal(inst)
-            assert total_welfare(inst, max_welfare_allocation(inst)) == best
+            low, high = (-10, 40) if trial % 2 else (0, 3)
+            if trial < 50:
+                n_items, subset = n, None
+            else:
+                n_items = int(rng.integers(1, 10))
+                size = int(rng.integers(1, min(n, n_items) + 1))
+                subset = rng.choice(n_items, size=size, replace=False).tolist()
+            inst = MarketInstance.from_matrix(rng.integers(low, high, (n, n_items)).astype(float))
+            expected, best = brute_force_optimal(inst, subset)
+            alloc = max_welfare_allocation(inst, subset)
+            assert alloc == expected
+            assert total_welfare(inst, alloc) == best
 
 
 class TestCePrices:

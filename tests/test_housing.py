@@ -14,14 +14,13 @@ from rsd_market.housing import (
     parse_wealth,
     prohibitive_cost_bound,
     public_valuations,
-    rep_seed,
     replication_order,
     run_housing_sim,
     small_tau_bound,
     tax_incidence_check,
     transaction_cost_sweep,
 )
-from rsd_market.market import Allocation, MarketInstance
+from rsd_market.market import Allocation, MarketInstance, derive_seed
 from rsd_market.mechanisms import TradePolicy, TransactionCost, sd_assignment
 from rsd_market.scenarios import get_scenario
 
@@ -182,7 +181,7 @@ class TestSingleReplication:
 class TestBatch:
     def test_single_rep_equals_derived_seed_run(self, desk_config):
         batch = batch_run(desk_config, 1, master_seed=2024)
-        direct = run_housing_sim(desk_config, rep_seed(2024, 0))
+        direct = run_housing_sim(desk_config, derive_seed(2024, 0))
         assert np.array_equal(batch.reports[0].delta, direct.delta)
 
     def test_parallel_merge_is_deterministic(self, desk_config):
