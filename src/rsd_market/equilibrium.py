@@ -248,7 +248,9 @@ def ce_prices(
     ``allocation`` must be a welfare-maximizing reassignment of exactly the
     endowed items (otherwise no supporting prices exist and a
     ``PreconditionError`` is raised).  Items outside the endowment are pinned
-    at price 0.
+    at price 0; when some agent would rather take one of them for free than
+    keep their assignment, no supporting prices exist either, and the same
+    error is raised.
 
     The minimal vector is the least fixed point of the demand constraints
         p[i] >= p[a(j)] + v_j(i) - v_j(a(j))        (assigned agents j)
@@ -292,17 +294,17 @@ def ce_prices(
             "no supporting prices: allocation is not welfare-maximal over the endowed items"
         )
 
-    # Demand constraints involving non-endowed items (pinned at price 0) are
-    # pure feasibility checks; they can fail only when some item was left
-    # unpicked, a configuration outside the square-market setting.
-    for j, item in assigned:
-        row = instance.row(j)
-        own_surplus = row[item] - prices[item]
-        outside = np.where(~in_market, row, -np.inf)
-        if outside.size and np.max(outside) > own_surplus + _ATOL:
-            raise InternalInvariantError(
-                "no supporting prices exist with unpicked items pinned at zero"
-            )
+    # Demand constraints on non-endowed items (pinned at price 0) are pure
+    # feasibility checks, for assigned and unassigned agents alike; they can
+    # fail only when some item was left unpicked.
+    if not np.all(in_market):
+        for j, item in enumerate(allocation.assignment):
+            row = instance.row(j)
+            own_surplus = 0.0 if item is None else row[item] - prices[item]
+            if np.max(row[~in_market]) > own_surplus + _ATOL:
+                raise PreconditionError(
+                    "no supporting prices exist with unpicked items pinned at zero"
+                )
     return PriceVector(prices)
 
 

@@ -25,6 +25,7 @@ from .market import (
     Allocation,
     HashedNormalValuations,
     MarketInstance,
+    Outcome,
     TradeRecord,
     derive_seed,
 )
@@ -33,6 +34,10 @@ from .mechanisms import NO_COST, TradePolicy, TransactionCost, pairwise_aftermar
 MEAN_RANGE = (100.0, 10_000.0)
 VARIANCE_RANGE = (500.0, 1_000.0)
 DELTA_HISTOGRAM_BINS = 50
+
+# The treatment arm's aftermarket: buyers pay the seller's (floored,
+# fee-grossed) reservation, budgets bind, and each agent buys at most once.
+HOUSING_POLICY = TradePolicy(surplus_split=0.0, pairwise_mode="single-pass", budget_enforced=True)
 
 
 # ---------------------------------------------------------------------------
@@ -92,31 +97,12 @@ class SimConfig:
     """Per-replication settings; one market has as many rooms as agents."""
 
     n_agents: int = 10_000
-    n_rooms: int | None = None
     wealth: WealthModel = field(default_factory=WealthModel)
     cost: TransactionCost = NO_COST
-    surplus_split: float = 0.0
-    seller_reservation_floor: bool = True
-    budget_enforced: bool = True
-    sellers_exit_after_sale: bool = False
-    augmented_picks: bool = True
 
     def __post_init__(self) -> None:
-        rooms = self.n_agents if self.n_rooms is None else self.n_rooms
-        object.__setattr__(self, "n_rooms", rooms)
         if self.n_agents < 1:
             raise ValueError("need at least one agent")
-        if rooms != self.n_agents:
-            raise ValueError("the market is square: n_rooms must equal n_agents")
-
-    def trade_policy(self) -> TradePolicy:
-        return TradePolicy(
-            surplus_split=self.surplus_split,
-            seller_reservation_floor=self.seller_reservation_floor,
-            pairwise_mode="single-pass",
-            budget_enforced=self.budget_enforced,
-            sellers_exit_after_sale=self.sellers_exit_after_sale,
-        )
 
 
 @dataclass(frozen=True)
@@ -136,8 +122,8 @@ class HousingInstance:
 def generate_instance(config: SimConfig, seed: int) -> HousingInstance:
     """Deterministically generate rooms, the valuation field, and budgets."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
-    means = rng.uniform(*MEAN_RANGE, size=config.n_rooms)
-    variances = rng.uniform(*VARIANCE_RANGE, size=config.n_rooms)
+    means = rng.uniform(*MEAN_RANGE, size=config.n_agents)
+    variances = rng.uniform(*VARIANCE_RANGE, size=config.n_agents)
     key = int(np.random.SeedSequence(entropy=seed, spawn_key=(1,)).generate_state(1)[0])
     backend = HashedNormalValuations(
         key=key,
@@ -168,15 +154,22 @@ def replication_order(config: SimConfig, seed: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def public_valuations(market: MarketInstance, order: Sequence[int]) -> np.ndarray:
-    """Resale estimate per room: the value its truthful-pick winner places on it."""
-    assignment = sd_assignment(market.valuations, order)
-    v_pub = np.zeros(market.n_items)
-    assigned = assignment >= 0
-    agents = np.nonzero(assigned)[0]
-    rooms = assignment[assigned]
+def _own_values(market: MarketInstance, assignment: np.ndarray) -> np.ndarray:
+    """Each agent's value for the room they hold (0 for none); -1 marks none."""
+    values = np.zeros(assignment.size)
+    mask = assignment >= 0
+    agents = np.nonzero(mask)[0]
     if agents.size:
-        v_pub[rooms] = market.valuations.values(agents, rooms)
+        values[mask] = market.valuations.values(agents, assignment[mask])
+    return values
+
+
+def public_valuations(market: MarketInstance, assignment: np.ndarray) -> np.ndarray:
+    """Resale estimate per room: the value its holder under ``assignment``
+    (the truthful-pick baseline) places on it; 0 for unheld rooms."""
+    v_pub = np.zeros(market.n_items)
+    held = assignment >= 0
+    v_pub[assignment[held]] = _own_values(market, assignment)[held]
     return v_pub
 
 
@@ -303,15 +296,6 @@ class SimReport:
         return self.negative_trade_stage_count / self.n_agents
 
 
-def _own_values(market: MarketInstance, assignment: np.ndarray) -> np.ndarray:
-    values = np.zeros(assignment.size)
-    mask = assignment >= 0
-    agents = np.nonzero(mask)[0]
-    if agents.size:
-        values[mask] = market.valuations.values(agents, assignment[mask])
-    return values
-
-
 def run_housing_sim(config: SimConfig, seed: int) -> SimReport:
     """One full replication; identical (config, seed) gives a bit-identical report."""
     inst = generate_instance(config, seed)
@@ -319,27 +303,14 @@ def run_housing_sim(config: SimConfig, seed: int) -> SimReport:
     order = replication_order(config, seed)
 
     baseline = sd_assignment(market.valuations, order)
-
-    if config.augmented_picks:
-        v_pub = np.zeros(market.n_items)
-        mask = baseline >= 0
-        v_pub[baseline[mask]] = market.valuations.values(np.nonzero(mask)[0], baseline[mask])
-        pick_values = augmented_valuations(market, v_pub, config.cost)
-        endowment = sd_assignment(pick_values, order)
-    else:
-        endowment = baseline.copy()
+    pick_values = augmented_valuations(market, public_valuations(market, baseline), config.cost)
+    endowment = sd_assignment(pick_values, order)
 
     final_alloc, transfers_t, log = pairwise_aftermarket(
-        market,
-        Allocation.from_array(endowment),
-        order,
-        config.trade_policy(),
-        config.cost,
+        market, Allocation.from_array(endowment), order, HOUSING_POLICY, config.cost
     )
     transfers = np.asarray(transfers_t)
-    fees = np.zeros(config.n_agents)
-    for rec in log:
-        fees[rec.counterparty] += rec.cost
+    fees = Outcome(final_alloc, transfers_t, log).seller_costs()
 
     welfare_baseline = inst.market.budgets + _own_values(market, baseline)
     welfare_endowment = inst.market.budgets + _own_values(market, endowment)
@@ -543,9 +514,7 @@ def small_tau_bound(
     concerns the trade decisions themselves.
     """
     order_t = tuple(range(instance.n_agents)) if order is None else tuple(order)
-    pol = policy or TradePolicy(
-        surplus_split=0.0, pairwise_mode="single-pass", budget_enforced=False
-    )
+    pol = policy or replace(HOUSING_POLICY, budget_enforced=False)
     if pol.budget_enforced:
         raise ValueError("the friction bound is defined for unconstrained budgets")
     _, _, log = pairwise_aftermarket(instance, allocation, order_t, pol, NO_COST)

@@ -109,6 +109,32 @@ class TransactionCost:
 NO_COST = TransactionCost()
 
 
+def bilateral_price(
+    reservation: np.ndarray | float,
+    ceiling: np.ndarray | float,
+    policy: TradePolicy,
+    cost: TransactionCost = NO_COST,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(feasible, price) for candidate swaps, elementwise.
+
+    ``reservation`` is what each seller loses by swapping and ``ceiling``
+    what the buyer gains.  The reservation is floored at 0 when the policy
+    says so, then grossed up for the fee; a swap is feasible when the ceiling
+    strictly exceeds that floor, and is priced at the floor plus the policy's
+    share of the gap.  Infeasible swaps are priced at 0, so a floor that no
+    price can reach (a proportional fee of 100 % or more) never enters the
+    arithmetic.
+    """
+    reservation = np.asarray(reservation, dtype=np.float64)
+    if policy.seller_reservation_floor:
+        reservation = np.maximum(reservation, 0.0)
+    floor = np.asarray(cost.gross_price(reservation), dtype=np.float64)
+    feasible = ceiling > floor
+    floor = np.where(feasible, floor, 0.0)
+    price = floor + policy.surplus_split * np.where(feasible, ceiling - floor, 0.0)
+    return feasible, price
+
+
 def parse_cost(spec: str) -> TransactionCost:
     """Parse ``none``, ``fixed:X`` or ``prop:R`` cost specifications."""
     if spec == "none":
@@ -239,8 +265,6 @@ def pairwise_aftermarket(
     order: Sequence[int],
     policy: TradePolicy,
     cost: TransactionCost = NO_COST,
-    *,
-    max_sweeps: int | None = None,
 ) -> tuple[Allocation, tuple[float, ...], tuple[TradeRecord, ...]]:
     """Run bilateral trading from an endowment; returns (allocation, transfers, log).
 
@@ -271,7 +295,6 @@ def pairwise_aftermarket(
     sold = np.zeros(m, dtype=bool)
     log: list[TradeRecord] = []
     single_pass = policy.pairwise_mode == "single-pass"
-    lam = policy.surplus_split
 
     def visit(j: int) -> bool:
         item_j = int(assignment[j])
@@ -289,14 +312,9 @@ def pairwise_aftermarket(
             return False
         sellers = owner[cand]
         seller_other = instance.valuations.values(sellers, np.full(cand.size, item_j))
-        reservation = own_value[cand] - seller_other
-        if policy.seller_reservation_floor:
-            reservation = np.maximum(reservation, 0.0)
-        floor_price = np.asarray(cost.gross_price(reservation), dtype=np.float64)
         ceiling = row[cand] - row[item_j]
-        price = floor_price + lam * (ceiling - floor_price)
+        ok, price = bilateral_price(own_value[cand] - seller_other, ceiling, policy, cost)
         gain = ceiling - price
-        ok = ceiling > floor_price
         if policy.budget_enforced:
             money = instance.budgets[j] + transfers[j] - fees[j]
             ok &= price <= money
@@ -344,8 +362,7 @@ def pairwise_aftermarket(
         # Each executed trade strictly raises total allocation welfare, which is
         # a pure function of the (finite) allocation state, so the sweeps must
         # reach a fixed point; the cap only guards against the impossible.
-        cap = max_sweeps if max_sweeps is not None else max(1000, 20 * m * n)
-        for _ in range(cap):
+        for _ in range(max(1000, 20 * m * n)):
             if not any([visit(j) for j in order_t]):
                 break
         else:
@@ -371,26 +388,6 @@ def expost_pairwise_transfers(
 # ---------------------------------------------------------------------------
 # Interim transfers
 # ---------------------------------------------------------------------------
-
-
-def _bilateral_terms(
-    vj_own: float,
-    vj_other: float,
-    vk_own: float,
-    vk_other: float,
-    policy: TradePolicy,
-    cost: TransactionCost = NO_COST,
-) -> tuple[bool, float, float]:
-    """(feasible, price, buyer_gain) for one candidate swap."""
-    reservation = vk_own - vk_other
-    if policy.seller_reservation_floor:
-        reservation = max(reservation, 0.0)
-    floor_price = float(np.asarray(cost.gross_price(reservation)))
-    ceiling = vj_other - vj_own
-    if not ceiling > floor_price:
-        return False, 0.0, 0.0
-    price = floor_price + policy.surplus_split * (ceiling - floor_price)
-    return True, price, ceiling - price
 
 
 def interim_transfers(
@@ -423,7 +420,9 @@ def interim_transfers(
             break
         row = instance.row(j)
         favorite = int(np.argmax(np.where(available, row, -np.inf)))
-        earlier = [k for k in order_t[:turn] if assignment[k] >= 0]
+        # Every earlier picker holds an item: picking stops once items run out.
+        earlier = np.asarray(order_t[:turn], dtype=np.int64)
+        held = assignment[earlier]
 
         pick = favorite
         trade_with: int | None = None
@@ -432,43 +431,35 @@ def interim_transfers(
         if agent_model == "myopic":
             assignment[j] = favorite
             available[favorite] = False
-            best_gain = 0.0
-            for k in earlier:
-                item_k = int(assignment[k])
-                feasible, price, gain = _bilateral_terms(
-                    float(row[favorite]),
-                    float(row[item_k]),
-                    instance.value(k, item_k),
-                    instance.value(k, favorite),
+            if earlier.size:
+                ceiling = row[held] - row[favorite]
+                feasible, price = bilateral_price(
+                    instance.valuations.values(earlier, held)
+                    - instance.valuations.values(earlier, np.full(earlier.size, favorite)),
+                    ceiling,
                     policy,
                 )
-                if feasible and gain > best_gain:
-                    best_gain = gain
-                    trade_with = k
-                    trade_price = price
+                gain = np.where(feasible, ceiling - price, -np.inf)
+                best = int(np.argmax(gain))
+                if gain[best] > 0.0:
+                    trade_with, trade_price = int(earlier[best]), float(price[best])
         else:
-            best_payoff = float(row[favorite])
-            for k in earlier:
-                item_k = int(assignment[k])
-                krow = instance.row(k)
+            if earlier.size:
+                krows = np.vstack([instance.row(int(k)) for k in earlier])
                 # Picking what the predecessor likes best maximizes both the
                 # proposer's bargaining position and the joint gain.
-                lure = int(np.argmax(np.where(available, krow, -np.inf)))
-                feasible, price, _ = _bilateral_terms(
-                    float(row[lure]),
-                    float(row[item_k]),
-                    float(krow[item_k]),
-                    float(krow[lure]),
+                lures = np.argmax(np.where(available, krows, -np.inf), axis=1)
+                slots = np.arange(earlier.size)
+                feasible, price = bilateral_price(
+                    krows[slots, held] - krows[slots, lures],
+                    row[held] - row[lures],
                     policy,
                 )
-                if not feasible:
-                    continue
-                payoff = float(row[item_k]) - price
-                if payoff > best_payoff:
-                    best_payoff = payoff
-                    pick = lure
-                    trade_with = k
-                    trade_price = price
+                payoff = np.where(feasible, row[held] - price, -np.inf)
+                best = int(np.argmax(payoff))
+                if payoff[best] > row[favorite]:
+                    pick = int(lures[best])
+                    trade_with, trade_price = int(earlier[best]), float(price[best])
             assignment[j] = pick
             available[pick] = False
 
@@ -541,15 +532,10 @@ def strategic_rsd_counterexample(
     v_b_room1, v_b_other = 200.0, 10.0
 
     # Branch 3: A holds room 1, B holds room 0; B buys room 1 from A.
-    feasible, price, _ = _bilateral_terms(
-        vj_own=v_b_other,
-        vj_other=v_b_room1,
-        vk_own=v_a_other,
-        vk_other=v_a_room0,
-        policy=policy,
-    )
+    feasible, price = bilateral_price(v_a_other - v_a_room0, v_b_room1 - v_b_other, policy)
     if not feasible:
         raise InternalInvariantError("the resale branch must always be viable")
+    price = float(price)
     branches = (
         StrategyBranch("generic-room", "pick any room neither values; no resale", v_a_other),
         StrategyBranch("honest-favorite", "pick the privately best room", v_a_room0),

@@ -109,7 +109,7 @@ def trade_log_soundness(
 # ---------------------------------------------------------------------------
 
 
-def criterion_01(check: _Check) -> None:
+def criterion_01(check: _Check, shared: dict) -> None:
     """Two-agent paid-swap scenario: picks, equilibrium transfers, CE point."""
     sc = scenarios.get_scenario("example-3.1")
     inst = sc.instance
@@ -136,7 +136,7 @@ def criterion_01(check: _Check) -> None:
     )
 
 
-def criterion_02(check: _Check) -> None:
+def criterion_02(check: _Check, shared: dict) -> None:
     """Bilateral dead end: stable yet four units below the optimum."""
     sc = scenarios.get_scenario("example-4.1")
     inst = sc.instance
@@ -155,7 +155,7 @@ def criterion_02(check: _Check) -> None:
     check.expect(best == 14.0, f"enumerated optimum {best} != 14")
 
 
-def criterion_03(check: _Check) -> None:
+def criterion_03(check: _Check, shared: dict) -> None:
     """Sequential transfers: the miss and the one-trade rescue."""
     miss = scenarios.get_scenario("example-5.1")
     _, miss_opt = equilibrium.brute_force_optimal(miss.instance)
@@ -185,7 +185,7 @@ def criterion_03(check: _Check) -> None:
             )
 
 
-def criterion_04(check: _Check) -> None:
+def criterion_04(check: _Check, shared: dict) -> None:
     """Manipulation premium: 20 + split * 190, dominant at every split."""
     for k in range(11):
         lam = k / 10
@@ -209,7 +209,7 @@ def criterion_04(check: _Check) -> None:
     check.note("resale transfer at 0.5 split: 95")
 
 
-def criterion_05(check: _Check) -> None:
+def criterion_05(check: _Check, shared: dict) -> None:
     """Equilibrium transfers hit the enumerated optimum on 500 random markets."""
     rng = np.random.default_rng(20240517)
     welfare_ok = prices_ok = 0
@@ -233,7 +233,7 @@ def criterion_05(check: _Check) -> None:
     check.note(f"{welfare_ok}/{trials} optimal, {prices_ok}/{trials} price-supported")
 
 
-def criterion_06(check: _Check) -> None:
+def criterion_06(check: _Check, shared: dict) -> None:
     """Cycle trading after truthful picks never trades (200 random markets)."""
     rng = np.random.default_rng(61803)
     ok = 0
@@ -249,7 +249,7 @@ def criterion_06(check: _Check) -> None:
     check.note(f"{ok}/{trials} identity reallocations")
 
 
-def criterion_07(check: _Check) -> None:
+def criterion_07(check: _Check, shared: dict) -> None:
     """Identical preferences collapse bilateral trading to plain picks."""
     rng = np.random.default_rng(1729)
     ok = 0
@@ -271,7 +271,7 @@ def criterion_07(check: _Check) -> None:
     check.note(f"{ok}/{trials} exact matches, zero trades")
 
 
-def criterion_08(check: _Check) -> None:
+def criterion_08(check: _Check, shared: dict) -> None:
     """Every logged trade is mutually beneficial and the result dominates the
     pre-trade state: bilateral, sequential, and simulated aftermarkets."""
     rng = np.random.default_rng(4242)
@@ -315,7 +315,7 @@ def rep_instance(cfg: housing.SimConfig, seed: int) -> MarketInstance:
     return housing.generate_instance(cfg, seed).market
 
 
-def criterion_09(check: _Check) -> None:
+def criterion_09(check: _Check, shared: dict) -> None:
     """When one-swap correction stays feasible, lookahead play is optimal."""
     rng = np.random.default_rng(5151)
     # Gain-aligned bargaining, matching the feasibility check's assumptions:
@@ -341,7 +341,7 @@ def criterion_09(check: _Check) -> None:
     check.note(f"{found} feasible instances out of {attempts} sampled; {matched} optimal")
 
 
-def criterion_10(check: _Check) -> None:
+def criterion_10(check: _Check, shared: dict) -> None:
     """Two-player bargaining: closed form, boundary offer, monotone offers,
     and the first-mover decomposition against a direct game rollout."""
     u = two_agent.Uniform(0.0, 1.0)
@@ -381,7 +381,7 @@ def criterion_10(check: _Check) -> None:
         check.note(f"choice {choice}: {eu:.5f} vs {sim_eu:.5f} (3se tol {tol:.5f})")
 
 
-def criterion_11(check: _Check) -> None:
+def criterion_11(check: _Check, shared: dict) -> None:
     """Fee-split irrelevance, and small fees leaving the swap set unchanged."""
     rng = np.random.default_rng(9090)
     incidence_ok = 0
@@ -432,8 +432,11 @@ def criterion_11(check: _Check) -> None:
 _DESK_MASTER_SEED = 20240612
 
 
-def criterion_12(check: _Check) -> tuple[housing.BatchReport, int]:
-    """Desk-scale welfare experiment: positive gains, (almost) no losers."""
+def criterion_12(check: _Check, shared: dict) -> None:
+    """Desk-scale welfare experiment: positive gains, (almost) no losers.
+
+    Stores its batch in ``shared["desk_batch"]`` for C14 to reuse.
+    """
     cfg = housing.SimConfig(n_agents=1000)
     batch = housing.batch_run(cfg, 20, master_seed=_DESK_MASTER_SEED)
     positive = int(np.sum(batch.gains > 0))
@@ -450,10 +453,10 @@ def criterion_12(check: _Check) -> tuple[housing.BatchReport, int]:
     check.note(f"mean gain {batch.mean_gain:,.0f}, median {batch.median_gain:,.0f}")
     check.note(f"transfer-stage losers: {stage_neg:.4%}; vs truthful-pick arm: {two_arm_neg:.4%}")
     check.note(f"nonzero-delta skewness {skew:+.3f} (left skew reported, not asserted)")
-    return batch, _DESK_MASTER_SEED
+    shared["desk_batch"] = batch
 
 
-def criterion_13(check: _Check) -> None:
+def criterion_13(check: _Check, shared: dict) -> None:
     """Wealth ladder: gains rise with budget and bend logarithmically."""
     # The stated miniature (100 groups at ratio 1.01) spans budgets [1, 2.7]
     # against prices spanning thousands, which degenerates the experiment; a
@@ -493,8 +496,12 @@ def criterion_13(check: _Check) -> None:
             )
 
 
-def criterion_14(check: _Check, desk_batch: housing.BatchReport | None = None) -> None:
-    """Friction sweep: gains fade monotonically and die past the bound."""
+def criterion_14(check: _Check, shared: dict) -> None:
+    """Friction sweep: gains fade monotonically and die past the bound.
+
+    Compares against C12's batch when this run made one, else runs its first
+    replication alone.
+    """
     cfg = housing.SimConfig(n_agents=1000)
     seed = market.derive_seed(_DESK_MASTER_SEED, 0)
     inst = housing.generate_instance(cfg, seed)
@@ -502,6 +509,7 @@ def criterion_14(check: _Check, desk_batch: housing.BatchReport | None = None) -
     taus = [0.0, 5.0, 10.0, 20.0, 40.0, 60.0, 90.0, 150.0, 300.0, 1000.0, bound]
     rows = housing.transaction_cost_sweep(cfg, taus, seed, kind="fixed")
 
+    desk_batch = shared.get("desk_batch")
     if desk_batch is None:
         desk_batch = housing.batch_run(cfg, 1, master_seed=_DESK_MASTER_SEED)
     baseline_gain = desk_batch.reports[0].total_gain
@@ -522,7 +530,7 @@ def criterion_14(check: _Check, desk_batch: housing.BatchReport | None = None) -
     check.note(f"trades along sweep: {[r.trades for r in rows]}")
 
 
-def criterion_15(check: _Check) -> None:
+def criterion_15(check: _Check, shared: dict) -> None:
     """Full-scale replication: fast, lean, and bit-for-bit reproducible."""
     cfg = housing.SimConfig(n_agents=10_000)
     tracemalloc.start()
@@ -557,7 +565,7 @@ def criterion_15(check: _Check) -> None:
 # ---------------------------------------------------------------------------
 
 
-_CRITERIA: list[tuple[str, str, Callable[[_Check], object]]] = [
+_CRITERIA: list[tuple[str, str, Callable[[_Check, dict], None]]] = [
     ("C01", "paid swap beats plain picks and is a valid equilibrium point", criterion_01),
     ("C02", "bilateral trading can stall below the optimum", criterion_02),
     ("C03", "sequential transfers miss, then a latecomer rescues", criterion_03),
@@ -577,20 +585,11 @@ _CRITERIA: list[tuple[str, str, Callable[[_Check], object]]] = [
 
 
 def run_criterion(cid: str) -> CriterionResult:
-    for known_cid, title, fn in _CRITERIA:
-        if known_cid == cid:
-            check = _Check()
-            t0 = time.perf_counter()
-            fn(check)
-            elapsed = time.perf_counter() - t0
-            return CriterionResult(
-                cid=cid,
-                title=title,
-                passed=not check.failures,
-                seconds=elapsed,
-                details=check.failures + check.notes,
-            )
-    raise ValueError(f"unknown criterion {cid!r}")
+    """Run one criterion on its own, printing nothing."""
+    results = run_paper_suite(only=[cid], printer=lambda line: None)
+    if not results:
+        raise ValueError(f"unknown criterion {cid!r}")
+    return results[0]
 
 
 def run_paper_suite(
@@ -598,22 +597,21 @@ def run_paper_suite(
     skip: Iterable[str] | None = None,
     printer: Callable[[str], None] = print,
 ) -> list[CriterionResult]:
-    """Run the acceptance criteria in order, one summary line each."""
+    """Run the acceptance criteria in order, one summary line each.
+
+    Criteria share one dict per run, through which a later criterion can
+    reuse an earlier one's work.
+    """
     wanted = set(only) if only else None
     skipped = set(skip) if skip else set()
     results = []
-    desk_batch: housing.BatchReport | None = None
+    shared: dict = {}
     for cid, title, fn in _CRITERIA:
         if (wanted is not None and cid not in wanted) or cid in skipped:
             continue
         check = _Check()
         t0 = time.perf_counter()
-        if cid == "C12":
-            desk_batch, _ = criterion_12(check)
-        elif cid == "C14":
-            criterion_14(check, desk_batch)
-        else:
-            fn(check)
+        fn(check, shared)
         elapsed = time.perf_counter() - t0
         result = CriterionResult(
             cid=cid,

@@ -5,8 +5,8 @@ This module computes the probability such an offer is accepted, the offerer's
 expected payoff and its maximizer, the Monte-Carlo distribution of optimal
 offers, and the first mover's expected utility from either initial pick.
 
-Offers are restricted to ``t >= 0`` by default (the proposer pays to obtain
-the better item); the bound can be widened through ``search_interval``.
+Offers are restricted to ``t >= 0`` (the proposer pays to obtain the better
+item).
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from .errors import PreconditionError
 
 _QUAD_TOL = 1e-9
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_OFFER_GRID_POINTS = 2001
+_OFFER_RESOLUTION = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -271,28 +273,19 @@ def optimal_offer(
     f1a: ValueDistribution,
     f1b: ValueDistribution,
     *,
-    grid_points: int = 2001,
-    resolution: float = 1e-5,
     allow_equal_values: bool = False,
-    search_interval: tuple[float, float] | None = None,
 ) -> OptimalOffer:
     """Maximize the offerer's expected payoff over nonnegative offers.
 
-    A dense grid (>= 2001 points) locates the neighborhood of the maximum and
-    golden-section search refines it to ``resolution``; ties break toward the
-    smallest offer.  Requires a trade motive ``v2a > v2b`` (pass
+    A 2001-point grid over [0, support width] locates the neighborhood of the
+    maximum and golden-section search refines it to 1e-5; ties break toward
+    the smallest offer.  Requires a trade motive ``v2a > v2b`` (pass
     ``allow_equal_values`` to admit the boundary case, whose optimum is 0).
     """
     if v2a < v2b or (v2a == v2b and not allow_equal_values):
         raise PreconditionError("no trade motive: the held item is already preferred")
     _require_common_support(f1a, f1b)
-    width = f1a.width
-    lo, hi = search_interval if search_interval is not None else (0.0, width)
-    if not hi >= lo:
-        raise ValueError("empty search interval")
-    grid_points = max(int(grid_points), 2001)
-
-    ts = np.linspace(lo, hi, grid_points)
+    ts = np.linspace(0.0, f1a.width, _OFFER_GRID_POINTS)
     accept = acceptance_curve(f1a, f1b, ts)
     payoff = (v2a - ts) * accept + v2b * (1.0 - accept)
     best_idx = int(np.argmax(payoff))
@@ -301,11 +294,11 @@ def optimal_offer(
         return seller_expected_payoff(v2a, v2b, f1a, f1b, t)
 
     a = float(ts[max(best_idx - 1, 0)])
-    b = float(ts[min(best_idx + 1, grid_points - 1)])
+    b = float(ts[min(best_idx + 1, _OFFER_GRID_POINTS - 1)])
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = objective(c), objective(d)
-    while b - a > resolution:
+    while b - a > _OFFER_RESOLUTION:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)

@@ -129,6 +129,28 @@ class TestDispatch:
         assert payload["transfers"] == [1.0, -1.0]
         assert payload["verified"] is True
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [[1.0, 0.0], [0.0, 3.0]],  # the unassigned agent wants the unpicked item
+            [[1.0, 5.0], [0.0, 0.0]],  # the holder prefers the unpicked item
+        ],
+    )
+    def test_equilibrium_solve_without_supporting_prices_is_exit_3(
+        self, capsys, tmp_path, values
+    ):
+        inst = tmp_path / "m.json"
+        save_instance(MarketInstance.from_matrix(values), inst)
+        endow = tmp_path / "e.json"
+        endow.write_text(json.dumps([0, None]))
+        code = dispatch(
+            ["equilibrium", "solve", "--instance", str(inst), "--endowment", str(endow)]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "no supporting prices" in captured.err
+
     def test_two_agent_solve(self, capsys):
         code, payload = run_json(
             capsys, ["two-agent", "solve", "--v2a", "0.9", "--v2b", "0.1"]

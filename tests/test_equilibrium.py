@@ -55,9 +55,10 @@ def _resolve_greedy(instance, items):
 
 
 @st.composite
-def tie_heavy_markets(draw):
+def tie_heavy_markets(draw, outside_worthless=True):
     """Integer values 0..4 on a random item subset with a random endowment of
-    it; items outside the subset are worth nothing, so minimal prices exist."""
+    it.  By default items outside the subset are worth nothing, so minimal
+    prices exist; with ``outside_worthless=False`` they keep their values."""
     n_agents = draw(st.integers(1, 40))
     n_items = draw(st.integers(1, 40))
     values = draw(arrays(np.int64, (n_agents, n_items), elements=st.integers(0, 4)))
@@ -71,9 +72,10 @@ def tie_heavy_markets(draw):
             )
         )
     )
-    outside = np.ones(n_items, dtype=bool)
-    outside[items] = False
-    values[:, outside] = 0
+    if outside_worthless:
+        outside = np.ones(n_items, dtype=bool)
+        outside[items] = False
+        values[:, outside] = 0
     holders = draw(st.permutations(range(n_agents)))
     endowment = [None] * n_agents
     for agent, item in zip(holders, items):
@@ -219,6 +221,32 @@ class TestCePrices:
         endow = Allocation((0, 1))
         with pytest.raises(PreconditionError):
             ce_prices(swap_market, endow, Allocation((0, 1)))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [[1.0, 0.0], [0.0, 3.0]],  # the unassigned agent wants the unpicked item
+            [[1.0, 5.0], [0.0, 0.0]],  # the holder prefers the unpicked item
+        ],
+    )
+    def test_unpicked_item_demanded_at_zero_rejected(self, values):
+        inst = MarketInstance.from_matrix(values)
+        endow = Allocation((0, None))
+        alloc = max_welfare_allocation(inst, endow.items())
+        assert alloc == endow
+        with pytest.raises(PreconditionError, match="no supporting prices"):
+            ce_prices(inst, endow, alloc)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(tie_heavy_markets(outside_worthless=False))
+    def test_prices_verify_or_precondition_error(self, market):
+        inst, items, endowment = market
+        alloc = max_welfare_allocation(inst, items)
+        try:
+            prices = ce_prices(inst, endowment, alloc)
+        except PreconditionError:
+            return
+        assert verify_ce(inst, endowment, alloc, prices)
 
     def test_wrong_item_set_rejected(self, dead_end_market):
         with pytest.raises(PreconditionError):

@@ -1,11 +1,15 @@
 """Mechanism engines: picks, cycle trading, transfer stages."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from rsd_market.market import (
     Allocation,
     MarketInstance,
+    Outcome,
+    TradeRecord,
     total_welfare,
     utilities,
     validate_outcome,
@@ -14,6 +18,7 @@ from rsd_market.mechanisms import (
     NO_COST,
     TradePolicy,
     TransactionCost,
+    bilateral_price,
     expost_ce_transfers,
     expost_pairwise_transfers,
     interim_transfers,
@@ -31,6 +36,77 @@ def identical_rows(n: int, seed: int) -> MarketInstance:
     rng = np.random.default_rng(seed)
     row = rng.integers(0, 100, n).astype(float)
     return MarketInstance.from_matrix(np.tile(row, (n, 1)))
+
+
+def _scalar_terms(vj_own, vj_other, vk_own, vk_other, policy):
+    """(feasible, price, buyer_gain) for one swap, priced one pair at a time."""
+    reservation = vk_own - vk_other
+    if policy.seller_reservation_floor:
+        reservation = max(reservation, 0.0)
+    floor_price = float(np.asarray(NO_COST.gross_price(reservation)))
+    ceiling = vj_other - vj_own
+    if not ceiling > floor_price:
+        return False, 0.0, 0.0
+    price = floor_price + policy.surplus_split * (ceiling - floor_price)
+    return True, price, ceiling - price
+
+
+def interim_reference(instance, order, agent_model, policy):
+    """Scalar reference for ``interim_transfers``: one predecessor at a time,
+    every cell read through ``MarketInstance.value``."""
+    m, n = instance.n_agents, instance.n_items
+    assignment = np.full(m, -1, dtype=np.int64)
+    available = np.ones(n, dtype=bool)
+    transfers = np.zeros(m)
+    log = []
+    for turn, j in enumerate(order):
+        if not np.any(available):
+            break
+        row = instance.row(j)
+        favorite = int(np.argmax(np.where(available, row, -np.inf)))
+        earlier = [k for k in order[:turn] if assignment[k] >= 0]
+        pick, trade_with, trade_price = favorite, None, 0.0
+        if agent_model == "myopic":
+            assignment[j] = favorite
+            available[favorite] = False
+            best_gain = 0.0
+            for k in earlier:
+                item_k = int(assignment[k])
+                feasible, price, gain = _scalar_terms(
+                    float(row[favorite]),
+                    float(row[item_k]),
+                    instance.value(k, item_k),
+                    instance.value(k, favorite),
+                    policy,
+                )
+                if feasible and gain > best_gain:
+                    best_gain, trade_with, trade_price = gain, k, price
+        else:
+            best_payoff = float(row[favorite])
+            for k in earlier:
+                item_k = int(assignment[k])
+                krow = instance.row(k)
+                lure = int(np.argmax(np.where(available, krow, -np.inf)))
+                feasible, price, _ = _scalar_terms(
+                    float(row[lure]), float(row[item_k]), float(krow[item_k]), float(krow[lure]), policy
+                )
+                if feasible and float(row[item_k]) - price > best_payoff:
+                    best_payoff = float(row[item_k]) - price
+                    pick, trade_with, trade_price = lure, k, price
+            assignment[j] = pick
+            available[pick] = False
+        if trade_with is not None:
+            k = trade_with
+            item_j, item_k = int(assignment[j]), int(assignment[k])
+            assignment[j], assignment[k] = item_k, item_j
+            transfers[j] -= trade_price
+            transfers[k] += trade_price
+            log.append(TradeRecord(len(log), j, k, item_k, item_j, trade_price))
+    return Outcome(
+        allocation=Allocation.from_array(assignment),
+        transfers=tuple(float(t) for t in transfers),
+        trade_log=tuple(log),
+    )
 
 
 class TestSerialDictatorship:
@@ -205,6 +281,57 @@ class TestPairwiseTransfers:
         assert len(out.trade_log) == 1 and out.trade_log[0].price == 1.0
 
 
+class TestBilateralPrice:
+    def test_fixed_fee_grosses_up(self):
+        feasible, price = bilateral_price(
+            np.array([3.0, -2.0]),
+            np.array([10.0, 10.0]),
+            TradePolicy(surplus_split=0.0),
+            TransactionCost("fixed", 2.0),
+        )
+        # The negative reservation is floored at 0 before the fee is added.
+        assert feasible.tolist() == [True, True]
+        assert price.tolist() == [5.0, 2.0]
+
+    def test_proportional_fee_grosses_up(self):
+        feasible, price = bilateral_price(
+            np.array([3.0, -1.0]),
+            np.array([10.0, 10.0]),
+            TradePolicy(surplus_split=0.5),
+            TransactionCost("proportional", 0.5),
+        )
+        # Floors 3 / (1 - 0.5) = 6 and 0, then half of the remaining gap.
+        assert feasible.tolist() == [True, True]
+        assert price.tolist() == [8.0, 5.0]
+
+    def test_unfloored_reservation_stays_negative(self):
+        feasible, price = bilateral_price(
+            np.array([-4.0]), np.array([2.0]), TradePolicy(seller_reservation_floor=False)
+        )
+        assert feasible.tolist() == [True]
+        assert price.tolist() == [-1.0]
+
+    def test_ceiling_equal_to_floor_is_infeasible(self):
+        for reservation, cost in ((3.0, NO_COST), (1.0, TransactionCost("fixed", 2.0))):
+            feasible, price = bilateral_price(
+                np.array([reservation]), np.array([3.0]), TradePolicy(), cost
+            )
+            assert feasible.tolist() == [False]
+            assert price.tolist() == [0.0]
+
+    def test_unreachable_floor_is_infeasible(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            feasible, price = bilateral_price(
+                np.array([1.0, 0.0]),
+                np.array([5.0, 5.0]),
+                TradePolicy(),
+                TransactionCost("proportional", 1.0),
+            )
+        assert feasible.tolist() == [False, True]
+        assert price.tolist() == [0.0, 2.5]
+
+
 class TestTransactionCosts:
     def test_parse_specs(self):
         assert parse_cost("none") == NO_COST
@@ -255,6 +382,23 @@ class TestTransactionCosts:
         assert rec.price == pytest.approx(2.0)  # reservation 1 grossed by 1/(1-0.5)
         assert rec.cost == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("mode", ["fixed-point", "single-pass"])
+    @pytest.mark.parametrize("split", [0.0, 0.5])
+    @pytest.mark.parametrize("rate", [1.0, 1.5])
+    def test_rate_of_100_percent_or_more_warns_nothing(self, rate, split, mode):
+        rng = np.random.default_rng(2)
+        inst = MarketInstance.from_matrix(rng.normal(100, 30, (12, 12)))
+        order = tuple(int(j) for j in rng.permutation(12))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = expost_pairwise_transfers(
+                inst,
+                order,
+                TradePolicy(surplus_split=split, pairwise_mode=mode),
+                TransactionCost("proportional", rate),
+            )
+        assert validate_outcome(inst, out) == []
+
 
 class TestInterimTransfers:
     def test_miss_and_rescue(self):
@@ -285,6 +429,27 @@ class TestInterimTransfers:
                 order = tuple(int(j) for j in rng.permutation(n))
                 out = interim_transfers(inst, order, model)
                 assert validate_outcome(inst, out, atol=0) == []
+
+    @pytest.mark.parametrize("floor", [True, False])
+    @pytest.mark.parametrize("split", [0.0, 0.3, 1.0])
+    def test_matches_scalar_reference(self, split, floor):
+        rng = np.random.default_rng(int(split * 10) + 100 * floor)
+        policy = TradePolicy(surplus_split=split, seller_reservation_floor=floor)
+        trades = 0
+        for trial in range(40):
+            n_agents, n_items = (int(x) for x in rng.integers(1, 9, size=2))
+            if trial % 2:
+                values = rng.integers(-5, 20, (n_agents, n_items)).astype(float)
+            else:
+                values = rng.normal(50.0, 20.0, (n_agents, n_items))
+            inst = MarketInstance.from_matrix(values)
+            order = tuple(int(j) for j in rng.permutation(n_agents))
+            for model in ("myopic", "lookback-strategic"):
+                out = interim_transfers(inst, order, model, policy)
+                assert out == interim_reference(inst, order, model, policy)
+                trades += len(out.trade_log)
+        # At split 1 the seller takes the whole gain, so no buyer ever gains.
+        assert trades > 20 if split < 1 else trades == 0
 
     def test_unknown_model_rejected(self):
         inst = MarketInstance.from_matrix([[1.0]])
