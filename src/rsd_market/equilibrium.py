@@ -18,9 +18,12 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InternalInvariantError, PreconditionError
-from .market import Allocation, MarketInstance, validate_order
+from .market import Allocation, DenseValuations, MarketInstance, validate_order
 
 _ATOL = 1e-9
+
+# Agents evaluated per NumPy expression by the block sweeps below.
+_BLOCK = 16
 
 BRUTE_FORCE_MAX_AGENTS = 10
 
@@ -41,10 +44,6 @@ class PriceVector:
     def __getitem__(self, item: int) -> float:
         return float(self.prices[item])
 
-    def of(self, item: int | None) -> float:
-        """Price of an item, with the null item priced at 0."""
-        return 0.0 if item is None else float(self.prices[item])
-
 
 @dataclass(frozen=True)
 class TradeSurplus:
@@ -62,8 +61,15 @@ class TradeSurplus:
 # ---------------------------------------------------------------------------
 
 
-def _submatrix(instance: MarketInstance, items: Sequence[int]) -> np.ndarray:
-    cols = np.asarray(items, dtype=np.int64)
+def _submatrix(instance: MarketInstance, items: Sequence[int] | None = None) -> np.ndarray:
+    """Every agent's values for ``items`` (default: all items), one row per agent.
+
+    Dense valuations are sliced from the stored matrix; other backends are
+    read one row per agent.
+    """
+    cols = slice(None) if items is None else np.asarray(items, dtype=np.int64)
+    if isinstance(instance.valuations, DenseValuations):
+        return instance.valuations.matrix[:, cols]
     return np.vstack([instance.row(j)[cols] for j in range(instance.n_agents)])
 
 
@@ -109,15 +115,21 @@ def max_welfare_allocation(
     to its smallest tight column that is either its current column or reaches
     that column by an alternating path through the columns still unfixed (arc
     c -> c' when the holder of c is tight to c'); the matching is rotated
-    along the path.  Each agent costs one reverse breadth-first search over
-    the columns, O(m^2), so the tie-break is O(m^3) after the solve.
+    along the path.  The walk is a block sweep: the columns still unfixed for
+    agent b are those held by agents >= b, and b keeps its column exactly when
+    that column is its first tight unfixed one, so one NumPy expression tests
+    a block of agents against the current matching.  Only the first agent in
+    the block that fails the test runs the reverse breadth-first search and
+    the rotation, and the sweep resumes after it; every agent therefore sees
+    the matching it would see one agent at a time, and the result is the
+    same.  Each search is O(m^2), so the tie-break is O(m^3) after the solve.
     """
     if item_subset is None:
         item_subset = range(instance.n_items)
     items = sorted(set(int(i) for i in item_subset))
     if not items:
         raise ValueError("item_subset must contain at least one item")
-    if any(i < 0 or i >= instance.n_items for i in items):
+    if items[0] < 0 or items[-1] >= instance.n_items:
         raise ValueError("item_subset contains out-of-range ids")
     m = instance.n_agents
     k = len(items)
@@ -131,40 +143,48 @@ def max_welfare_allocation(
 
     holder = np.empty(m, dtype=np.int64)
     holder[match] = np.arange(m)
-    unfixed = np.ones(m, dtype=bool)
-    for agent in range(m):
+    agent = 0
+    while agent < m:
+        # Block sweep (see the docstring): jump to the first agent in the
+        # block whose first tight unfixed column is not its own.
+        block = np.arange(agent, min(agent + _BLOCK, m))
+        first = (tight[block] & (holder >= block[:, None])).argmax(axis=1)
+        kept = first == match[block]
+        if kept.all():
+            agent += block.size
+            continue
+        agent = int(block[kept.argmin()])
         target = int(match[agent])
+        unfixed = holder >= agent
         candidates = np.flatnonzero(tight[agent] & unfixed)
         if candidates.size == 0:
             raise InternalInvariantError("tie-break search exhausted all candidates")
-        best = int(candidates[0])
-        if best != target:
-            # Reverse breadth-first search: which unfixed columns reach the
-            # agent's current column along alternating paths?
-            reached = np.zeros(m, dtype=bool)
-            reached[target] = True
-            successor = np.full(m, -1, dtype=np.int64)
-            frontier = np.array([target])
-            while frontier.size and not reached[best]:
-                pending = np.flatnonzero(unfixed & ~reached)
-                hits = tight[np.ix_(holder[pending], frontier)]
-                found = hits.any(axis=1)
-                successor[pending[found]] = frontier[hits[found].argmax(axis=1)]
-                frontier = pending[found]
-                reached[frontier] = True
-            reachable = candidates[reached[candidates]]
-            if reachable.size == 0:
-                raise InternalInvariantError("tie-break search lost the optimum")
-            best = int(reachable[0])
-            path = [best]
-            while path[-1] != target:
-                path.append(int(successor[path[-1]]))
-            movers = holder[path[:-1]]
-            match[movers] = path[1:]
-            holder[path[1:]] = movers
-            match[agent] = best
-            holder[best] = agent
-        unfixed[best] = False
+        # Reverse breadth-first search: which unfixed columns reach the
+        # agent's current column along alternating paths?  levels[d] holds
+        # the columns first reached after d arcs, in increasing id order.
+        unreached = unfixed.copy()
+        unreached[target] = False
+        levels = [np.array([target])]
+        while levels[-1].size and unreached[candidates[0]]:
+            entering = tight[:, levels[-1]].any(axis=1)[holder] & unreached
+            levels.append(np.flatnonzero(entering))
+            unreached[levels[-1]] = False
+        reachable = candidates[~unreached[candidates]]
+        if reachable.size == 0:
+            raise InternalInvariantError("tie-break search lost the optimum")
+        # Walk back from the smallest reachable candidate, each column's
+        # holder moving to the first column of the level before it that it
+        # is tight to, and rotate the matching along that path.
+        path = [int(reachable[0])]
+        depth = next(d for d, level in enumerate(levels) if path[0] in level)
+        for level in reversed(levels[:depth]):
+            path.append(int(level[tight[holder[path[-1]], level].argmax()]))
+        movers = holder[path[:-1]]
+        match[movers] = path[1:]
+        holder[path[1:]] = movers
+        match[agent] = path[0]
+        holder[path[0]] = agent
+        agent += 1
     return Allocation(tuple(items[c] if c < k else None for c in match.tolist()))
 
 
@@ -258,6 +278,19 @@ def ce_prices(
     over the endowed items, floored at 0.  Iterating the constraints is a
     longest-path/Bellman-Ford computation; an improving cycle (which would
     make it diverge) exists exactly when the allocation is not optimal.
+
+    The iteration is a Gauss-Seidel sweep over the assigned agents in id
+    order, applying an agent's bound only when it raises some price by more
+    than 1e-12.  Each sweep is a block sweep: one NumPy expression computes
+    ``(p[a(j)] + v_j) - v_j(a(j))`` for the next block of agents at the
+    current prices, and the sweep jumps to the first agent whose bound raises
+    a price, applies that bound and resumes after it.  The agents it skips
+    would have changed nothing, so every agent sees the prices it would see
+    sequentially and every price comes from the same two additions: the
+    result is bit-identical to the one-agent-at-a-time loop.  Each agent's
+    values are read once (dense valuations straight from the stored matrix),
+    and the unassigned agents' bounds and the checks against non-endowed
+    items are exact maxima over them.
     """
     if endowment.items() != allocation.items():
         raise PreconditionError("allocation must redistribute exactly the endowed items")
@@ -265,28 +298,42 @@ def ce_prices(
         if problems:
             raise ValueError("; ".join(problems))
 
-    allocated = sorted(allocation.items())
-    prices = np.zeros(instance.n_items)
+    held = allocation.to_array()
+    assigned = np.flatnonzero(held >= 0)
+    items = held[assigned]
     in_market = np.zeros(instance.n_items, dtype=bool)
-    in_market[allocated] = True
-
-    assigned = [(j, item) for j, item in enumerate(allocation.assignment) if item is not None]
-    unassigned = [j for j, item in enumerate(allocation.assignment) if item is None]
+    in_market[items] = True
+    values = _submatrix(instance)
+    rows = values[assigned]
+    own = rows[np.arange(assigned.size), items]
+    prices = np.zeros(instance.n_items)
 
     # Base lower bounds from agents who hold nothing: no item may offer them
     # positive surplus.
-    for j in unassigned:
-        np.maximum(prices, np.where(in_market, instance.row(j), 0.0), out=prices)
+    if assigned.size < held.size:
+        np.maximum(prices, values[held < 0].max(axis=0), out=prices, where=in_market)
 
-    for _sweep in range(len(assigned) + 1):
+    # Block sweeps (see the docstring).  Items outside the market never
+    # raise a bound (their slack is infinite) and are never raised.
+    slack = np.where(in_market, 1e-12, np.inf)
+    limit = prices + slack
+    for _sweep in range(assigned.size + 1):
         changed = False
-        for j, item in assigned:
-            row = instance.row(j)
-            bound = prices[item] + row - row[item]
-            bound[~in_market] = 0.0
-            if np.any(bound > prices + 1e-12):
-                prices = np.maximum(prices, bound)
-                changed = True
+        start = 0
+        while start < assigned.size:
+            stop = start + _BLOCK
+            bound = prices[items[start:stop], None] + rows[start:stop]
+            bound -= own[start:stop, None]
+            raises = bound > limit
+            at = int(raises.argmax())
+            if not raises.flat[at]:
+                start = stop
+                continue
+            first = at // rows.shape[1]
+            np.maximum(prices, bound[first], out=prices, where=in_market)
+            limit = prices + slack
+            changed = True
+            start += first + 1
         if not changed:
             break
     else:
@@ -298,13 +345,12 @@ def ce_prices(
     # feasibility checks, for assigned and unassigned agents alike; they can
     # fail only when some item was left unpicked.
     if not np.all(in_market):
-        for j, item in enumerate(allocation.assignment):
-            row = instance.row(j)
-            own_surplus = 0.0 if item is None else row[item] - prices[item]
-            if np.max(row[~in_market]) > own_surplus + _ATOL:
-                raise PreconditionError(
-                    "no supporting prices exist with unpicked items pinned at zero"
-                )
+        own_surplus = np.zeros(held.size)
+        own_surplus[assigned] = own - prices[items]
+        if np.any(values[:, ~in_market].max(axis=1) > own_surplus + _ATOL):
+            raise PreconditionError(
+                "no supporting prices exist with unpicked items pinned at zero"
+            )
     return PriceVector(prices)
 
 
@@ -351,10 +397,8 @@ def transfers_from_prices(
     endowment: Allocation, allocation: Allocation, prices: PriceVector
 ) -> tuple[float, ...]:
     """Endowment value minus final purchase at the supporting prices."""
-    return tuple(
-        prices.of(e) - prices.of(a)
-        for e, a in zip(endowment.assignment, allocation.assignment)
-    )
+    priced = np.append(prices.prices, 0.0)  # index -1, the null item, is free
+    return tuple((priced[endowment.to_array()] - priced[allocation.to_array()]).tolist())
 
 
 # ---------------------------------------------------------------------------

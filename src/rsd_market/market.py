@@ -270,8 +270,9 @@ class Allocation:
         problems = []
         if self.n_agents != instance.n_agents:
             problems.append("allocation length does not match agent count")
+        n_items = instance.n_items
         for item in self.items():
-            if item >= instance.n_items:
+            if item >= n_items:
                 problems.append(f"item {item} out of range")
         return problems
 

@@ -123,7 +123,9 @@ def bilateral_price(
     strictly exceeds that floor, and is priced at the floor plus the policy's
     share of the gap.  Infeasible swaps are priced at 0, so a floor that no
     price can reach (a proportional fee of 100 % or more) never enters the
-    arithmetic.
+    arithmetic.  Above a proportional rate of 100 % the fee on a positive
+    price exceeds the price, so any share of the gap would leave the seller
+    worse off: feasible swaps are then priced at the floor.
     """
     reservation = np.asarray(reservation, dtype=np.float64)
     if policy.seller_reservation_floor:
@@ -131,7 +133,8 @@ def bilateral_price(
     floor = np.asarray(cost.gross_price(reservation), dtype=np.float64)
     feasible = ceiling > floor
     floor = np.where(feasible, floor, 0.0)
-    price = floor + policy.surplus_split * np.where(feasible, ceiling - floor, 0.0)
+    split = 0.0 if cost.kind == "proportional" and cost.amount > 1.0 else policy.surplus_split
+    price = floor + split * np.where(feasible, ceiling - floor, 0.0)
     return feasible, price
 
 

@@ -586,10 +586,7 @@ _CRITERIA: list[tuple[str, str, Callable[[_Check, dict], None]]] = [
 
 def run_criterion(cid: str) -> CriterionResult:
     """Run one criterion on its own, printing nothing."""
-    results = run_paper_suite(only=[cid], printer=lambda line: None)
-    if not results:
-        raise ValueError(f"unknown criterion {cid!r}")
-    return results[0]
+    return run_paper_suite(only=[cid], printer=lambda line: None)[0]
 
 
 def run_paper_suite(
@@ -600,10 +597,14 @@ def run_paper_suite(
     """Run the acceptance criteria in order, one summary line each.
 
     Criteria share one dict per run, through which a later criterion can
-    reuse an earlier one's work.
+    reuse an earlier one's work.  An id in ``only`` or ``skip`` that names no
+    criterion raises ``ValueError`` before anything runs.
     """
     wanted = set(only) if only else None
     skipped = set(skip) if skip else set()
+    unknown = sorted(((wanted or set()) | skipped) - {cid for cid, _, _ in _CRITERIA})
+    if unknown:
+        raise ValueError(f"unknown criterion ids: {', '.join(map(repr, unknown))}")
     results = []
     shared: dict = {}
     for cid, title, fn in _CRITERIA:

@@ -250,6 +250,22 @@ class TestSuiteRunner:
         assert [r["id"] for r in payload["results"]] == ["C01", "C04"]
         assert all(r["passed"] for r in payload["results"])
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--only", "C99"], ["'C99'"]),
+            (["--skip", "C99"], ["'C99'"]),
+            (["--only", "C01,C99"], ["'C99'"]),
+            (["--only", "C01,C99", "--skip", "C98"], ["'C98'", "'C99'"]),
+        ],
+    )
+    def test_unknown_criterion_id_rejected(self, capsys, argv, named):
+        code = dispatch(["paper-suite", *argv])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""  # nothing ran, not even the known C01
+        assert all(cid in captured.err for cid in named)
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, tmp_path):

@@ -1,5 +1,8 @@
 """Assignment optimization, supporting prices, and the brute-force oracle."""
 
+import hashlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,8 +22,10 @@ from rsd_market.equilibrium import (
 )
 from rsd_market.errors import PreconditionError
 from rsd_market.market import Allocation, MarketInstance, total_welfare
-from rsd_market.mechanisms import serial_dictatorship
+from rsd_market.mechanisms import expost_ce_transfers, sd_assignment, serial_dictatorship
 from rsd_market.scenarios import get_scenario
+
+BLOCK = equilibrium._BLOCK
 
 
 def _assignment_value(values):
@@ -54,14 +59,57 @@ def _resolve_greedy(instance, items):
     return Allocation(tuple(assignment))
 
 
-@st.composite
-def tie_heavy_markets(draw, outside_worthless=True):
-    """Integer values 0..4 on a random item subset with a random endowment of
-    it.  By default items outside the subset are worth nothing, so minimal
-    prices exist; with ``outside_worthless=False`` they keep their values."""
-    n_agents = draw(st.integers(1, 40))
-    n_items = draw(st.integers(1, 40))
-    values = draw(arrays(np.int64, (n_agents, n_items), elements=st.integers(0, 4)))
+def _ce_prices_reference(instance, endowment, allocation):
+    """The per-agent Gauss-Seidel loop that ``ce_prices`` must equal bit for bit."""
+    allocated = sorted(allocation.items())
+    prices = np.zeros(instance.n_items)
+    in_market = np.zeros(instance.n_items, dtype=bool)
+    in_market[allocated] = True
+    assigned = [(j, item) for j, item in enumerate(allocation.assignment) if item is not None]
+    unassigned = [j for j, item in enumerate(allocation.assignment) if item is None]
+    for j in unassigned:
+        np.maximum(prices, np.where(in_market, instance.row(j), 0.0), out=prices)
+    for _sweep in range(len(assigned) + 1):
+        changed = False
+        for j, item in assigned:
+            row = instance.row(j)
+            bound = prices[item] + row - row[item]
+            bound[~in_market] = 0.0
+            if np.any(bound > prices + 1e-12):
+                prices = np.maximum(prices, bound)
+                changed = True
+        if not changed:
+            break
+    else:
+        raise PreconditionError(
+            "no supporting prices: allocation is not welfare-maximal over the endowed items"
+        )
+    if not np.all(in_market):
+        for j, item in enumerate(allocation.assignment):
+            row = instance.row(j)
+            own_surplus = 0.0 if item is None else row[item] - prices[item]
+            if np.max(row[~in_market]) > own_surplus + 1e-9:
+                raise PreconditionError(
+                    "no supporting prices exist with unpicked items pinned at zero"
+                )
+    return prices
+
+
+def _assert_prices_match_reference(instance, endowment, allocation):
+    try:
+        expected = _ce_prices_reference(instance, endowment, allocation)
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError, match=f"^{re.escape(str(exc))}$"):
+            ce_prices(instance, endowment, allocation)
+        return
+    prices = ce_prices(instance, endowment, allocation).prices
+    assert np.array_equal(prices, expected)
+    assert prices.tobytes() == expected.tobytes()
+
+
+def _endowed_subset(draw, values, outside_worthless):
+    """A random item subset of ``values``' columns and a random endowment of it."""
+    n_agents, n_items = values.shape
     items = sorted(
         draw(
             st.lists(
@@ -81,6 +129,47 @@ def tie_heavy_markets(draw, outside_worthless=True):
     for agent, item in zip(holders, items):
         endowment[agent] = item
     return MarketInstance.from_matrix(values.astype(float)), items, Allocation(tuple(endowment))
+
+
+@st.composite
+def tie_heavy_markets(draw, outside_worthless=True):
+    """Integer values 0..4 on a random item subset with a random endowment of
+    it.  By default items outside the subset are worth nothing, so minimal
+    prices exist; with ``outside_worthless=False`` they keep their values."""
+    n_agents = draw(st.integers(1, 40))
+    n_items = draw(st.integers(1, 40))
+    values = draw(arrays(np.int64, (n_agents, n_items), elements=st.integers(0, 4)))
+    return _endowed_subset(draw, values, outside_worthless)
+
+
+@st.composite
+def normal_markets(draw, outside_worthless=True):
+    """Like ``tie_heavy_markets``, with N(100, 30) values: no ties, and prices
+    that depend on the 1e-12 tolerance and the order of the additions."""
+    n_agents = draw(st.integers(1, 40))
+    n_items = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(100.0, 30.0, (n_agents, n_items))
+    return _endowed_subset(draw, values, outside_worthless)
+
+
+def _ce_dense_digest(family, n, seed):
+    """sha256 of ``expost_ce_transfers``' allocation and transfers and of the
+    supporting prices, on a market shaped like the benchmark's ce-dense ops."""
+    rng = np.random.default_rng([seed, n])
+    if family == "normal":
+        values = rng.normal(100.0, 30.0, (n, n))
+    else:
+        values = rng.integers(0, 5, (n, n)).astype(float)
+    order = tuple(int(j) for j in rng.permutation(n))
+    inst = MarketInstance.from_matrix(values)
+    out = expost_ce_transfers(inst, order)
+    endowment = Allocation.from_array(sd_assignment(inst.valuations, order))
+    prices = ce_prices(inst, endowment, out.allocation)
+    h = hashlib.sha256()
+    for array in (out.allocation.to_array(), np.array(out.transfers), prices.prices):
+        h.update(array.tobytes())
+    return h.hexdigest()
 
 
 @pytest.fixture
@@ -128,6 +217,55 @@ class TestMaxWelfare:
         prices = ce_prices(inst, endowment, alloc)
         assert np.array_equal(prices.prices, ce_prices(inst, endowment, reference).prices)
         assert verify_ce(inst, endowment, alloc, prices)
+
+    @pytest.mark.parametrize(
+        "n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1], ids=["b-1", "b", "b+1", "2b+1"]
+    )
+    def test_matches_resolve_greedy_across_block_sizes(self, n):
+        # Square on all items, then rectangular or with unassigned agents.
+        rng = np.random.default_rng(n)
+        for n_items, size in ((n, n), (n + 7, n), (n, n - 3), (n + 7, n - 3)):
+            items = sorted(rng.choice(n_items, size, replace=False).tolist())
+            values = rng.integers(0, 3, (n, n_items)).astype(float)
+            inst = MarketInstance.from_matrix(values)
+            assert max_welfare_allocation(inst, items) == _resolve_greedy(inst, items)
+
+    def test_all_equal_market_across_block_sizes(self):
+        for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1):
+            inst = MarketInstance.from_matrix(np.full((n, n), 5.0))
+            assert max_welfare_allocation(inst).assignment == tuple(range(n))
+
+    @pytest.mark.parametrize(
+        "swapped",
+        [(0,), (BLOCK - 2,), (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (2 * BLOCK,),
+         (BLOCK - 1, BLOCK + 3), tuple(range(0, 2 * BLOCK, 2))],
+    )
+    def test_rotation_where_the_fast_path_breaks(self, monkeypatch, swapped):
+        # Every matching of an all-equal market is optimal.  The solver is made
+        # to return the identity with agents q and q+1 exchanged for each q in
+        # ``swapped``, so the first agent to fail the fast-path test sits at a
+        # chosen place: inside a block, at its last agent, at the next block's
+        # first agent.  The tie-break must still return the identity.
+        n = 2 * BLOCK + 2
+        match = np.arange(n)
+        for q in swapped:
+            match[[q, q + 1]] = match[[q + 1, q]]
+        monkeypatch.setattr(
+            equilibrium, "linear_sum_assignment", lambda values, maximize: (np.arange(n), match.copy())
+        )
+        inst = MarketInstance.from_matrix(np.full((n, n), 5.0))
+        assert max_welfare_allocation(inst).assignment == tuple(range(n))
+
+    def test_rotation_of_a_reversed_matching(self, monkeypatch):
+        n = 2 * BLOCK + 1
+        monkeypatch.setattr(
+            equilibrium, "linear_sum_assignment",
+            lambda values, maximize: (np.arange(n), np.arange(n)[::-1].copy()),
+        )
+        values = np.full((n, n), 5.0)
+        values[:, 0] = 1.0  # worth less to everyone, so every matching stays optimal
+        inst = MarketInstance.from_matrix(values)
+        assert max_welfare_allocation(inst) == _resolve_greedy(inst, list(range(n)))
 
     @pytest.mark.parametrize(
         "values, items",
@@ -237,6 +375,18 @@ class TestCePrices:
         with pytest.raises(PreconditionError, match="no supporting prices"):
             ce_prices(inst, endow, alloc)
 
+    def test_unpicked_item_within_tolerance_stays_at_zero(self):
+        # Agent 0 raises item 1's price to 2 while its bound on the unpicked
+        # item 2 is 5e-10, and the unassigned agent 2 values item 2 at 5e-10:
+        # within the feasibility tolerance, and no price.
+        inst = MarketInstance.from_matrix(
+            [[10.0, 12.0, 10.0 + 5e-10], [0.0, 20.0, 0.0], [0.0, 0.0, 5e-10]]
+        )
+        endow = Allocation((0, 1, None))
+        prices = ce_prices(inst, endow, endow)
+        assert prices.prices.tolist() == [0.0, 2.0, 0.0]
+        assert verify_ce(inst, endow, endow, prices)
+
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(tie_heavy_markets(outside_worthless=False))
     def test_prices_verify_or_precondition_error(self, market):
@@ -247,6 +397,47 @@ class TestCePrices:
         except PreconditionError:
             return
         assert verify_ce(inst, endowment, alloc, prices)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.one_of(
+            tie_heavy_markets(),
+            tie_heavy_markets(outside_worthless=False),
+            normal_markets(),
+            normal_markets(outside_worthless=False),
+        )
+    )
+    def test_matches_per_agent_loop(self, market):
+        # The optimal allocation, and the endowment itself, which is usually
+        # not optimal: then both must raise the same PreconditionError.
+        inst, items, endowment = market
+        for allocation in (max_welfare_allocation(inst, items), endowment):
+            _assert_prices_match_reference(inst, endowment, allocation)
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_matches_per_agent_loop_across_block_sizes(self, n):
+        rng = np.random.default_rng(n)
+        for values in (rng.normal(100.0, 30.0, (n, n)), rng.integers(0, 5, (n, n + 3))):
+            inst = MarketInstance.from_matrix(values.astype(float))
+            order = tuple(int(j) for j in rng.permutation(n))
+            endowment = Allocation.from_array(sd_assignment(inst.valuations, order))
+            allocation = max_welfare_allocation(inst, endowment.items())
+            _assert_prices_match_reference(inst, endowment, allocation)
+
+    @pytest.mark.parametrize(
+        "family, n, seed, digest",
+        [
+            ("normal", 120, 0, "94dd0943074a0522871f37534424a25267438dab8bf707f521fe5c4a10046578"),
+            ("normal", 120, 1, "2d4bccc9308fab6ef0360e52b720094d451cd98a8dd9d4f30540181444b348e8"),
+            ("normal", 120, 2, "5d620143d5b159cd69f78d48810c608780ba72835a6fd98c2d87c20592ad6feb"),
+            ("ties", 240, 0, "2d7827b06cd556a9c9d612223668aef1aca3670a2e9d590c2334dbf685f3cdc0"),
+            ("ties", 240, 1, "aee08868613c2dcc7abdb874345b1d4895fa9ae48bef984f8ffd789e3774a838"),
+            ("ties", 240, 2, "172bc6b7cfc63749cb34e8caced781c784d689508bc92a6f4f539b77de21b8c7"),
+        ],
+    )
+    def test_expost_ce_transfers_digest_is_pinned(self, family, n, seed, digest):
+        # Captured from the per-agent loops the block sweeps replaced.
+        assert _ce_dense_digest(family, n, seed) == digest
 
     def test_wrong_item_set_rejected(self, dead_end_market):
         with pytest.raises(PreconditionError):

@@ -1,5 +1,6 @@
 """Mechanism engines: picks, cycle trading, transfer stages."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -30,6 +31,7 @@ from rsd_market.mechanisms import (
     ttc,
 )
 from rsd_market.scenarios import get_scenario
+from rsd_market.suite import trade_log_soundness
 
 
 def identical_rows(n: int, seed: int) -> MarketInstance:
@@ -398,6 +400,48 @@ class TestTransactionCosts:
                 TransactionCost("proportional", rate),
             )
         assert validate_outcome(inst, out) == []
+
+
+    @pytest.mark.parametrize(
+        "cost",
+        [
+            NO_COST,
+            TransactionCost("fixed", 1.5),
+            TransactionCost("proportional", 0.3),
+            TransactionCost("proportional", 1.0),
+            TransactionCost("proportional", 1.5),
+        ],
+        ids=["none", "fixed", "prop0.3", "prop1.0", "prop1.5"],
+    )
+    @pytest.mark.parametrize("split", [0.0, 0.5, 1.0])
+    def test_every_logged_trade_is_sound(self, split, cost):
+        # Every other TradePolicy field in every combination, on integer and
+        # normal 6x6 markets with random budgets and pick orders.  At split 1
+        # the buyer pays the whole ceiling, so only weak buyer gain holds.
+        rng = np.random.default_rng(31)
+        fields = itertools.product(
+            (True, False), ("fixed-point", "single-pass"), (True, False), (True, False)
+        )
+        policies = [TradePolicy(split, *rest) for rest in fields]
+        for trial in range(12):
+            values = rng.integers(0, 10, (6, 6)) if trial % 2 else rng.normal(10.0, 4.0, (6, 6))
+            inst = MarketInstance.from_matrix(values.astype(float), rng.uniform(0.0, 8.0, 6))
+            order = tuple(int(j) for j in rng.permutation(6))
+            for policy in policies:
+                out = expost_pairwise_transfers(inst, order, policy, cost)
+                assert trade_log_soundness(inst, out, buyer_strict=split < 1) == [], policy
+
+    def test_rate_above_100_percent_prices_at_the_floor(self):
+        # Reservation -2 (the seller gains 2 by swapping) stays unfloored;
+        # reservation 1 cannot be grossed up.  No share of the gap is added.
+        feasible, price = bilateral_price(
+            np.array([-2.0, 1.0]),
+            np.array([5.0, 5.0]),
+            TradePolicy(surplus_split=0.5, seller_reservation_floor=False),
+            TransactionCost("proportional", 1.5),
+        )
+        assert feasible.tolist() == [True, False]
+        assert price.tolist() == [-2.0, 0.0]
 
 
 class TestInterimTransfers:
