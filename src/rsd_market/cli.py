@@ -8,8 +8,10 @@ input/precondition, 4 internal invariant breach.
 
 A ``--config`` file (JSON object or ``key = value`` lines) supplies defaults
 for the chosen subcommand; explicit flags override it, and unknown keys are
-rejected.  ``RSD_MARKET_SEED`` supplies a seed when none is given; failing
-that, a fresh seed is generated and logged so the run stays replayable.
+rejected as usage errors.  A malformed instance, endowment or config file is
+bad input (exit 3).  ``RSD_MARKET_SEED`` supplies a seed when none is given;
+failing that, a fresh seed is generated and logged so the run stays
+replayable.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import secrets
 import sys
 from pathlib import Path
@@ -146,11 +149,18 @@ def _cmd_mech_run(args: argparse.Namespace) -> int:
 
 
 def _load_allocation(path: str, n_agents: int) -> market.Allocation:
+    """An endowment file: a list of item ids or nulls, bare or under ``"assignment"``."""
     payload = json.loads(Path(path).read_text())
     if isinstance(payload, dict):
-        payload = payload["assignment"]
+        payload = payload.get("assignment")
+    if not isinstance(payload, list):
+        raise ValueError('endowment must be a list, or an object with an "assignment" list')
     if len(payload) != n_agents:
         raise ValueError("endowment length does not match the instance")
+    for x in payload:
+        integral = isinstance(x, int) or (isinstance(x, float) and x.is_integer())
+        if x is not None and (isinstance(x, bool) or not integral):
+            raise ValueError(f"endowment entry {x!r} is not an item id or null")
     return market.Allocation(tuple(None if x is None else int(x) for x in payload))
 
 
@@ -515,14 +525,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _TWO_LEVEL = {"mech", "equilibrium", "oracle", "two-agent", "sim"}
+_CONFIG_KEY = re.compile(r"[A-Za-z0-9][A-Za-z0-9_-]*")
 
 
 def _config_tokens(path: str) -> list[str]:
+    """Flag tokens from a config file; ``ValueError`` if the file is malformed.
+
+    Keys must look like flag names and JSON values must be strings or
+    numbers; whether a key is a flag of the subcommand, and whether its value
+    parses, is left to the argument parser, as for flags on the command line.
+    """
     text = Path(path).read_text()
-    stripped = text.lstrip()
     entries: dict[str, object] = {}
-    if stripped.startswith("{"):
+    if text.lstrip().startswith(("{", "[", '"')):
         entries = json.loads(text)
+        if not isinstance(entries, dict):
+            raise ValueError("a JSON config file must hold an object")
     else:
         for line in text.splitlines():
             line = line.strip()
@@ -534,7 +552,11 @@ def _config_tokens(path: str) -> list[str]:
             entries[key.strip()] = value.strip()
     tokens: list[str] = []
     for key, value in entries.items():
-        tokens.append("--" + str(key).replace("_", "-"))
+        if not _CONFIG_KEY.fullmatch(key):
+            raise ValueError(f"malformed config key {key!r}")
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError(f"config value for {key!r} must be a string or a number")
+        tokens.append("--" + key.replace("_", "-"))
         tokens.append(str(value))
     return tokens
 

@@ -368,7 +368,8 @@ def verify_ce(
     over all items, and unassigned agents see no positive surplus anywhere;
     (2) the allocated item set equals the endowed item set; (3) non-endowed
     items are priced at 0; and (4) prices are nonnegative, which is part of
-    the canonical normalization here.
+    the canonical normalization here.  An allocation for another number of
+    agents is rejected.  Condition (1) is one max over the valuation matrix.
     """
     p = prices.prices if isinstance(prices, PriceVector) else np.asarray(prices, dtype=float)
     if p.shape != (instance.n_items,):
@@ -381,16 +382,15 @@ def verify_ce(
     in_market[sorted(allocation.items())] = True
     if np.any(np.abs(p[~in_market]) > atol):
         return False
-    for j, item in enumerate(allocation.assignment):
-        surplus = instance.row(j) - p
-        best = float(np.max(surplus)) if surplus.size else 0.0
-        own = 0.0 if item is None else float(surplus[item])
-        if item is None:
-            if best > atol:
-                return False
-        elif own < best - atol:
-            return False
-    return True
+    if allocation.n_agents != instance.n_agents:
+        return False
+    surplus = _submatrix(instance) - p
+    best = surplus.max(axis=1) if instance.n_items else np.zeros(instance.n_agents)
+    items = allocation.to_array()
+    holders = np.flatnonzero(items >= 0)
+    own = surplus[holders, items[holders]]
+    unassigned = items < 0
+    return not (np.any(best[unassigned] > atol) or np.any(own < best[holders] - atol))
 
 
 def transfers_from_prices(

@@ -204,11 +204,40 @@ def instance_to_json(instance: MarketInstance) -> dict:
     }
 
 
-def instance_from_json(payload: dict) -> MarketInstance:
-    vals = np.asarray(payload["valuations"], dtype=np.float64)
-    if vals.shape != (payload["n_agents"], payload["n_items"]):
-        raise ValueError("valuations shape does not match n_agents/n_items")
-    return MarketInstance.from_matrix(vals, payload.get("budgets"))
+def _is_number(x: object) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_count(x: object, least: int) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= least
+
+
+def instance_from_json(payload: object) -> MarketInstance:
+    """Rebuild an instance from its JSON document; ``ValueError`` if malformed."""
+    if not isinstance(payload, dict):
+        raise ValueError("instance must be a JSON object")
+    missing = [key for key in ("n_agents", "n_items", "valuations") if key not in payload]
+    if missing:
+        raise ValueError(f"instance lacks {', '.join(missing)}")
+    n_agents, n_items, rows = payload["n_agents"], payload["n_items"], payload["valuations"]
+    if not (_is_count(n_agents, 1) and _is_count(n_items, 0)):
+        raise ValueError("n_agents must be a positive and n_items a nonnegative integer")
+    if not (
+        isinstance(rows, list)
+        and len(rows) == n_agents
+        and all(isinstance(r, list) and len(r) == n_items and all(map(_is_number, r)) for r in rows)
+    ):
+        raise ValueError("valuations must be an n_agents x n_items matrix of numbers")
+    budgets = payload.get("budgets")
+    if budgets is not None and not (
+        isinstance(budgets, list) and len(budgets) == n_agents and all(map(_is_number, budgets))
+    ):
+        raise ValueError("budgets must be a list of n_agents numbers")
+    try:
+        vals = np.array(rows, dtype=np.float64).reshape(n_agents, n_items)
+        return MarketInstance.from_matrix(vals, budgets)
+    except OverflowError as exc:
+        raise ValueError("instance holds a number too large for a float") from exc
 
 
 def save_instance(instance: MarketInstance, path: str | Path) -> None:

@@ -6,7 +6,9 @@ expected payoff and its maximizer, the Monte-Carlo distribution of optimal
 offers, and the first mover's expected utility from either initial pick.
 
 Offers are restricted to ``t >= 0`` (the proposer pays to obtain the better
-item).
+item).  An acceptance curve, and the envelope of optimal offers read off it,
+depend only on the (frozen, hashable) distribution pair, so each is computed
+once per process and shared read-only.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ _QUAD_TOL = 1e-9
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _OFFER_GRID_POINTS = 2001
 _OFFER_RESOLUTION = 1e-5
+_ENVELOPE_GRID_POINTS = 8193
+_CDF_ROWS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +255,12 @@ def acceptance_curve(
     Uses one shared composite quadrature grid for every offer; accuracy is a
     few 1e-7, well below Monte-Carlo resolution.  Distributions without a
     continuous quantile fall back to the pointwise adaptive rule.
+
+    The inner cdf is evaluated ``_CDF_ROWS`` offers at a time, so its
+    temporaries stay in cache, into one buffer of ``chunk`` offers that is
+    then contracted with the weights.  The ``chunk``-row products are kept as
+    they are: BLAS ``dgemv`` can round a row differently when its position
+    within the call changes, so another chunking would change the last bits.
     """
     ts = np.asarray(ts, dtype=float)
     if f1a.width <= 0 or f1b.width <= 0:
@@ -260,11 +270,30 @@ def acceptance_curve(
     x = np.asarray(f1a.quantile(nodes), dtype=float)
     out = np.empty(ts.size)
     chunk = max(1, 4_000_000 // x.size)
+    inner = np.empty((min(chunk, ts.size), x.size))
     for start in range(0, ts.size, chunk):
-        block = ts[start : start + chunk]
-        inner = np.asarray(f1b.cdf(x[None, :] - block[:, None]), dtype=float)
-        out[start : start + chunk] = inner @ weights
+        stop = min(start + chunk, ts.size)
+        for lo in range(start, stop, _CDF_ROWS):
+            hi = min(lo + _CDF_ROWS, stop)
+            inner[lo - start : hi - start] = f1b.cdf(x[None, :] - ts[lo:hi, None])
+        out[start:stop] = inner[: stop - start] @ weights
     return np.clip(1.0 - out, 0.0, 1.0)
+
+
+@lru_cache(maxsize=16)
+def _offer_grid(
+    outer: ValueDistribution, inner: ValueDistribution, grid_points: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Offers ``linspace(0, width, grid_points)`` and their acceptance curve.
+
+    The curve depends only on the (frozen, hashable) distribution pair, so it
+    is computed once per process and shared; both arrays are read-only.
+    """
+    ts = np.linspace(0.0, max(outer.width, 0.0), grid_points)
+    accept = acceptance_curve(outer, inner, ts)
+    ts.setflags(write=False)
+    accept.setflags(write=False)
+    return ts, accept
 
 
 def optimal_offer(
@@ -285,8 +314,7 @@ def optimal_offer(
     if v2a < v2b or (v2a == v2b and not allow_equal_values):
         raise PreconditionError("no trade motive: the held item is already preferred")
     _require_common_support(f1a, f1b)
-    ts = np.linspace(0.0, f1a.width, _OFFER_GRID_POINTS)
-    accept = acceptance_curve(f1a, f1b, ts)
+    ts, accept = _offer_grid(f1a, f1b, _OFFER_GRID_POINTS)
     payoff = (v2a - ts) * accept + v2b * (1.0 - accept)
     best_idx = int(np.argmax(payoff))
 
@@ -350,26 +378,21 @@ class OfferDistribution:
         return float(tail.mean()) if tail.size else 0.0
 
 
-def _offer_grid(
-    f_accept_outer: ValueDistribution,
-    f_accept_inner: ValueDistribution,
-    grid_points: int = 8193,
+@lru_cache(maxsize=16)
+def _offer_envelope(
+    outer: ValueDistribution, inner: ValueDistribution
 ) -> tuple[np.ndarray, np.ndarray]:
-    width = f_accept_outer.width
-    ts = np.linspace(0.0, max(width, 0.0), grid_points)
-    return ts, acceptance_curve(f_accept_outer, f_accept_inner, ts)
+    """Grid argmax of ``(gain - t) * accept(t)`` as a function of the gain.
 
-
-def _grid_optimal_offers(gains: np.ndarray, ts: np.ndarray, accept: np.ndarray) -> np.ndarray:
-    """Grid argmax of (gain - t) * accept(t) for many gain draws at once.
-
-    Per draw the objective is ``accept[i] * g - accept[i] * ts[i]``, a line in
-    the gain ``g``; the argmax over the grid is the upper envelope of those
-    lines.  Acceptance is nondecreasing in ``t``, so slopes arrive sorted and
-    the envelope builds in one stack pass; draws then binary-search it.
+    Per grid offer the objective is ``accept[i] * g - accept[i] * ts[i]``, a
+    line in the gain ``g``; the argmax over the grid is the upper envelope of
+    those lines.  Acceptance is nondecreasing in ``t``, so slopes arrive
+    sorted and the envelope builds in one stack pass.  Returns the offers on
+    the envelope and the cut points between them (``cuts[k]`` is the gain
+    where offer ``k + 1`` overtakes offer ``k``), read-only and computed once
+    per distribution pair per process.
     """
-    if gains.size == 0:
-        return np.empty(0)
+    ts, accept = _offer_grid(outer, inner, _ENVELOPE_GRID_POINTS)
     slopes = accept
     intercepts = -accept * ts
 
@@ -394,8 +417,19 @@ def _grid_optimal_offers(gains: np.ndarray, ts: np.ndarray, accept: np.ndarray) 
             cuts.append(crossing(stack[-1], i))
         stack.append(i)
 
-    idx = np.searchsorted(np.asarray(cuts), gains, side="left")
-    return ts[np.asarray(stack)[idx]]
+    offers = ts[np.asarray(stack)]
+    cut_points = np.asarray(cuts, dtype=float)
+    offers.setflags(write=False)
+    cut_points.setflags(write=False)
+    return offers, cut_points
+
+
+def _grid_optimal_offers(
+    gains: np.ndarray, outer: ValueDistribution, inner: ValueDistribution
+) -> np.ndarray:
+    """Each gain's grid-optimal offer: one binary search on the cached envelope."""
+    offers, cuts = _offer_envelope(outer, inner)
+    return offers[np.searchsorted(cuts, gains, side="left")]
 
 
 def offer_distribution(
@@ -417,20 +451,21 @@ def offer_distribution(
         raise ValueError("n_draws must be at least 1")
     if received_item not in ("A", "B"):
         raise ValueError("received_item must be 'A' or 'B'")
+    _require_common_support(f1a, f1b)
     rng = np.random.default_rng(seed)
     va = f2a.sample(rng, n_draws)
     vb = f2b.sample(rng, n_draws)
     if received_item == "B":
         gains = va - vb
         # Holder of B courts the holder of A.
-        ts, accept = _offer_grid(f1a, f1b)
+        outer, inner = f1a, f1b
         no_offer = stieltjes_cdf_integral(f2b, f2a, 0.0)
     else:
         gains = vb - va
-        ts, accept = _offer_grid(f1b, f1a)
+        outer, inner = f1b, f1a
         no_offer = stieltjes_cdf_integral(f2a, f2b, 0.0)
     gains = gains[gains > 0]
-    offers = np.sort(_grid_optimal_offers(gains, ts, accept)) if gains.size else np.array([])
+    offers = np.sort(_grid_optimal_offers(gains, outer, inner)) if gains.size else np.array([])
     return OfferDistribution(
         offers=offers,
         no_offer_probability=float(no_offer),
@@ -519,22 +554,23 @@ def simulate_first_mover_game(
     """
     if choice not in ("A", "B"):
         raise ValueError("choice must be 'A' or 'B'")
+    _require_common_support(f1a, f1b)
     rng = np.random.default_rng(seed)
     va = f2a.sample(rng, n_draws)
     vb = f2b.sample(rng, n_draws)
     if choice == "A":
         v_keep, v_other = v1a, v1b
         gains = va - vb
-        ts, accept = _offer_grid(f1a, f1b)
+        outer, inner = f1a, f1b
     else:
         v_keep, v_other = v1b, v1a
         gains = vb - va
-        ts, accept = _offer_grid(f1b, f1a)
+        outer, inner = f1b, f1a
     theta = v_keep - v_other
     util = np.full(n_draws, float(v_keep))
     motive = gains > 0
     if np.any(motive):
-        offers = _grid_optimal_offers(gains[motive], ts, accept)
+        offers = _grid_optimal_offers(gains[motive], outer, inner)
         accepted = offers >= theta
         branch = np.where(accepted, v_other + offers, v_keep)
         util[motive] = branch

@@ -1,9 +1,13 @@
 """Scenario catalog integrity and the command-line front door."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsd_market.cli import dispatch
 from rsd_market.market import MarketInstance, save_instance
@@ -299,3 +303,209 @@ class TestConfigFile:
              "--scenario", "example-3.1", "--order", "0,1"]
         )
         assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# Malformed input files: exit 3 with a one-line error, never a traceback
+# ---------------------------------------------------------------------------
+
+GOOD_INSTANCE = {
+    "n_agents": 3,
+    "n_items": 3,
+    "valuations": [[5, 2, 0], [3, 6, 0], [1, 1, 1]],
+    "budgets": [0, 5, 0],
+}
+
+
+def _last_row(row):
+    return {**GOOD_INSTANCE, "valuations": [[5, 2, 0], [3, 6, 0], row]}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=10,
+)
+
+
+def _run_quietly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    return code, err.getvalue()
+
+
+def _write(directory, name, content):
+    path = directory / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    return str(path)
+
+
+def _solve_instance(directory, content):
+    return _run_quietly(["equilibrium", "solve", "--instance", _write(directory, "inst.json", content)])
+
+
+def _solve_endowment(directory, content):
+    inst = _write(directory, "inst.json", GOOD_INSTANCE)
+    endow = _write(directory, "endow.json", content)
+    return _run_quietly(["equilibrium", "solve", "--instance", inst, "--endowment", endow])
+
+
+def _solve_config(directory, content):
+    cfg = _write(directory, "conf", content)
+    return _run_quietly(["--config", cfg, "equilibrium", "solve", "--scenario", "example-3.1"])
+
+
+def _is_endowment(value):
+    """Whether ``value`` is a well-formed endowment of ``GOOD_INSTANCE``."""
+    if isinstance(value, dict):
+        value = value.get("assignment")
+    if not isinstance(value, list) or len(value) != GOOD_INSTANCE["n_agents"]:
+        return False
+    ids = [x for x in value if x is not None]
+    return (
+        bool(ids)
+        and all(
+            not isinstance(x, bool) and isinstance(x, (int, float)) and x in range(GOOD_INSTANCE["n_items"])
+            for x in ids
+        )
+        and len(set(ids)) == len(ids)
+    )
+
+
+def _with(key, values):
+    return values.map(lambda v: {**GOOD_INSTANCE, key: v})
+
+
+malformed_instances = st.one_of(
+    json_values.filter(
+        lambda v: not (isinstance(v, dict) and {"n_agents", "n_items", "valuations"} <= v.keys())
+    ),
+    _with("n_agents", json_values.filter(lambda v: v != 2)),
+    _with("n_items", json_values.filter(lambda v: v != 3)),
+    _with("valuations", json_values.filter(lambda v: not isinstance(v, list))),
+    _with("budgets", json_values.filter(lambda v: v is not None and not isinstance(v, list))),
+)
+
+malformed_configs = st.one_of(
+    json_values.filter(lambda v: not isinstance(v, dict)),
+    st.dictionaries(
+        st.text(max_size=6),
+        json_values.filter(lambda v: isinstance(v, (bool, list, dict)) or v is None),
+        min_size=1,
+        max_size=3,
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize(
+        "content",
+        [
+            {"n_agents": 3},
+            [1, 2],
+            {**GOOD_INSTANCE, "budgets": {"a": 1}},
+            {**GOOD_INSTANCE, "budgets": [0, 5]},
+            {**GOOD_INSTANCE, "budgets": [0, True, 0]},
+            {**GOOD_INSTANCE, "budgets": ["0", 5, 0]},
+            {**GOOD_INSTANCE, "n_agents": 3.0},
+            {**GOOD_INSTANCE, "n_agents": True},
+            {**GOOD_INSTANCE, "n_items": -3},
+            _last_row([1, 1]),
+            _last_row([1, True, 1]),
+            _last_row([1, "1", 1]),
+            _last_row([1, None, 1]),
+            _last_row([1, [1], 1]),
+            _last_row([1, 10**400, 1]),
+            _last_row([1, float("inf"), 1]),
+            {**GOOD_INSTANCE, "valuations": [5, 2, 0, 3, 6, 0, 1, 1, 1]},
+            {"n_agents": 0, "n_items": 0, "valuations": []},
+            "{not json",
+            b"\xff\xfe",
+        ],
+    )
+    def test_instance(self, fuzz_dir, content):
+        code, err = _solve_instance(fuzz_dir, content)
+        assert code == 3 and "Traceback" not in err and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            {"x": 1},
+            5,
+            [[0], 1, 2],
+            [1.7, 0, 2],
+            [True, 0, 2],
+            ["0", 1, 2],
+            [0, 0, 2],
+            [-1, 0, 2],
+            [3, 0, 1],
+            [10**30, 0, 1],
+            [0, 1],
+            [None, None, None],
+            {"assignment": 5},
+            {"assignment": [0.5, 1, 2]},
+            b"\xff\xfe",
+        ],
+    )
+    def test_endowment(self, fuzz_dir, content):
+        code, err = _solve_endowment(fuzz_dir, content)
+        assert code == 3 and "Traceback" not in err and err.startswith("error: ")
+
+    def test_well_formed_instance_solves(self, fuzz_dir):
+        # Each malformed instance case differs from this one in one field.
+        assert _solve_instance(fuzz_dir, GOOD_INSTANCE) == (0, "")
+
+    @pytest.mark.parametrize("content", [[0, 1, 2], [1.0, 0.0, 2], {"assignment": [1, 0, 2]}])
+    def test_integral_endowment_accepted(self, fuzz_dir, content):
+        assert _solve_endowment(fuzz_dir, content) == (0, "")
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "[1, 2]",
+            "5",
+            '"seed=1"',
+            '{"seed": [1]}',
+            '{"seed": null}',
+            '{"seed": true}',
+            '{"seed": {"a": 1}}',
+            '{"": 1}',
+            '{"--seed": 1}',
+            '{"seed": 1,}',
+            "{",
+            "seed 5",
+            "= 5",
+            b"\xff\xfe",
+        ],
+    )
+    def test_config(self, fuzz_dir, content):
+        code, err = _solve_config(fuzz_dir, content)
+        assert code == 3 and "Traceback" not in err and err.startswith("error: ")
+
+    @settings(max_examples=60, deadline=None)
+    @given(malformed_instances)
+    def test_fuzzed_instance(self, fuzz_dir, content):
+        code, err = _solve_instance(fuzz_dir, content)
+        assert code == 3 and "Traceback" not in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(json_values)
+    def test_fuzzed_endowment(self, fuzz_dir, content):
+        code, err = _solve_endowment(fuzz_dir, content)
+        assert code in ((0, 3) if _is_endowment(content) else (3,))
+        assert "Traceback" not in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(malformed_configs)
+    def test_fuzzed_config(self, fuzz_dir, content):
+        code, err = _solve_config(fuzz_dir, content)
+        assert code == 3 and "Traceback" not in err

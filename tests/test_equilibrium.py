@@ -107,6 +107,31 @@ def _assert_prices_match_reference(instance, endowment, allocation):
     assert prices.tobytes() == expected.tobytes()
 
 
+def _verify_ce_reference(instance, endowment, allocation, prices, atol=equilibrium._ATOL):
+    """The per-agent loop whose verdicts ``verify_ce`` must reproduce."""
+    p = np.asarray(prices, dtype=float)
+    if p.shape != (instance.n_items,):
+        return False
+    if allocation.items() != endowment.items():
+        return False
+    if np.any(p < -atol):
+        return False
+    in_market = np.zeros(instance.n_items, dtype=bool)
+    in_market[sorted(allocation.items())] = True
+    if np.any(np.abs(p[~in_market]) > atol):
+        return False
+    for j, item in enumerate(allocation.assignment):
+        surplus = instance.row(j) - p
+        best = float(np.max(surplus)) if surplus.size else 0.0
+        own = 0.0 if item is None else float(surplus[item])
+        if item is None:
+            if best > atol:
+                return False
+        elif own < best - atol:
+            return False
+    return True
+
+
 def _endowed_subset(draw, values, outside_worthless):
     """A random item subset of ``values``' columns and a random endowment of it."""
     n_agents, n_items = values.shape
@@ -487,6 +512,36 @@ class TestVerifyCe:
                 endow = Allocation(tuple(int(i) for i in rng.permutation(n)))
                 assert verify_ce(inst, endow, alloc, prices)
                 assert sum(transfers_from_prices(endow, alloc, prices)) == pytest.approx(0.0)
+
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.one_of(
+            tie_heavy_markets(),
+            tie_heavy_markets(outside_worthless=False),
+            normal_markets(),
+            normal_markets(outside_worthless=False),
+        ),
+        st.booleans(),
+        st.data(),
+    )
+    def test_matches_per_agent_loop(self, market, optimal, data):
+        # Ties, unassigned agents, items outside the endowment, and prices at
+        # and around the tolerance on either side of every comparison.
+        inst, items, endowment = market
+        allocation = max_welfare_allocation(inst, items) if optimal else endowment
+        try:
+            prices = ce_prices(inst, endowment, allocation).prices
+        except PreconditionError:
+            prices = np.zeros(inst.n_items)
+        nudge = data.draw(arrays(np.int64, inst.n_items, elements=st.integers(-4, 4)))
+        for p in (prices, prices + nudge * (equilibrium._ATOL / 2), prices + 0.25 * nudge):
+            assert verify_ce(inst, endowment, allocation, p) is _verify_ce_reference(
+                inst, endowment, allocation, p
+            )
+
+    def test_other_agent_count_rejected(self, swap_market):
+        assert not verify_ce(swap_market, Allocation((0,)), Allocation((0,)), np.zeros(2))
 
 
 class TestTradeFeasible:

@@ -1,7 +1,11 @@
 """Housing-market simulation: generation, arms, aftermarket, frictions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rsd_market.housing import (
     MEAN_RANGE,
@@ -20,9 +24,10 @@ from rsd_market.housing import (
     tax_incidence_check,
     transaction_cost_sweep,
 )
-from rsd_market.market import Allocation, MarketInstance, derive_seed
-from rsd_market.mechanisms import TradePolicy, TransactionCost, sd_assignment
+from rsd_market.market import Allocation, MarketInstance, Outcome, derive_seed, validate_outcome
+from rsd_market.mechanisms import NO_COST, TradePolicy, TransactionCost, sd_assignment
 from rsd_market.scenarios import get_scenario
+from rsd_market.suite import trade_log_soundness
 
 
 @pytest.fixture(scope="module")
@@ -275,3 +280,69 @@ class TestSmallTauBound:
             small_tau_bound(
                 inst, Allocation((0, 1)), policy=TradePolicy(budget_enforced=True)
             )
+
+
+@st.composite
+def housing_configs(draw):
+    """20-200 agents; equal or power-law wealth; no, fixed or proportional cost."""
+    if draw(st.booleans()):
+        n_agents = draw(st.integers(20, 200))
+        wealth = WealthModel(kind="equal", amount=draw(st.sampled_from([50.0, 2_000.0, 10_000.0])))
+    else:
+        per_group = draw(st.integers(1, 10))
+        n_groups = draw(st.integers(-(-20 // per_group), 200 // per_group))
+        n_agents = n_groups * per_group
+        base = draw(st.sampled_from([1.01, 1.05, 1.2]))
+        wealth = WealthModel(kind="power-law", n_groups=n_groups, base=base, agents_per_group=per_group)
+    cost = draw(
+        st.one_of(
+            st.just(NO_COST),
+            st.floats(0.0, 500.0).map(lambda a: TransactionCost("fixed", a)),
+            st.floats(0.0, 1.5).map(lambda r: TransactionCost("proportional", r)),
+        )
+    )
+    return SimConfig(n_agents=n_agents, wealth=wealth, cost=cost), draw(st.integers(0, 2**32 - 1))
+
+
+def _reports_equal(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            if x.dtype != y.dtype or x.tobytes() != y.tobytes():
+                return False
+        elif x != y:
+            return False
+    return True
+
+
+class TestInvariantsAcrossConfigs:
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(housing_configs())
+    def test_outcome_sound_and_no_loser(self, drawn):
+        config, seed = drawn
+        report = run_housing_sim(config, seed)
+        inst = generate_instance(config, seed).market
+        outcome = Outcome(
+            Allocation.from_array(report.final_assignment), tuple(report.transfers), report.trades
+        )
+        assert validate_outcome(inst, outcome) == []
+        assert trade_log_soundness(inst, outcome) == []
+        # No loser from the transfer stage, up to rounding at the value scale.
+        agents = np.arange(config.n_agents)
+        own = np.concatenate(
+            [
+                inst.valuations.values(agents, report.final_assignment),
+                inst.valuations.values(agents, report.treatment_endowment),
+            ]
+        )
+        scale = float(report.budgets0.max()) + float(np.abs(own).max())
+        assert float(report.trade_stage_delta.min()) >= -1e-9 * scale
+
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(housing_configs())
+    def test_batch_independent_of_parallelism(self, drawn):
+        config, seed = drawn
+        serial = batch_run(config, 2, seed, parallelism=1)
+        parallel = batch_run(config, 2, seed, parallelism=2)
+        assert len(serial.reports) == len(parallel.reports) == 2
+        assert all(_reports_equal(a, b) for a, b in zip(serial.reports, parallel.reports))

@@ -1,8 +1,11 @@
 """Two-player bargaining: acceptance integral, optimal offers, first mover."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from rsd_market import two_agent
 from rsd_market.errors import PreconditionError
 from rsd_market.two_agent import (
     PointMass,
@@ -235,3 +238,147 @@ class TestStieltjes:
 
     def test_uniform_pair_at_zero_shift(self):
         assert stieltjes_cdf_integral(UNIT, UNIT, 0.0) == pytest.approx(0.5, abs=1e-9)
+
+
+def _digest(*values):
+    h = hashlib.sha256()
+    for v in values:
+        h.update(np.asarray(v, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def _acceptance_curve_reference(f1a, f1b, ts):
+    """The whole-chunk evaluation ``acceptance_curve`` must equal byte for byte."""
+    nodes, weights = two_agent._composite_gl_nodes(1024, 4)
+    x = np.asarray(f1a.quantile(nodes), dtype=float)
+    out = np.empty(ts.size)
+    chunk = max(1, 4_000_000 // x.size)
+    for start in range(0, ts.size, chunk):
+        block = ts[start : start + chunk]
+        inner = np.asarray(f1b.cdf(x[None, :] - block[:, None]), dtype=float)
+        out[start : start + chunk] = inner @ weights
+    return np.clip(1.0 - out, 0.0, 1.0)
+
+
+FAMILIES = {
+    "uniform": Uniform(0.0, 1.0),
+    "truncnorm": TruncatedNormal(0.0, 1.0, 0.6, 0.2),
+    "wide-truncnorm": TruncatedNormal(0.0, 2.0, 1.4, 0.6),
+}
+
+
+class TestSharedCurves:
+    """Curves and offer envelopes are computed once per distribution pair and
+    shared; the outputs are pinned to the bytes of the per-call rebuild."""
+
+    @pytest.mark.parametrize(
+        "family, digest",
+        [
+            ("uniform", "f0f70a38cb41c04d62c10239957e247fac975e811e8817d6a4c9e35f8392396e"),
+            ("truncnorm", "b5a0fdd97619f4b2818bc50fdd2ba94425e6f28e0c32983c09818c343f0d9c12"),
+            ("wide-truncnorm", "2871c90c08e501b129a421e201331fd7ab1b09b9921e142a01c44f599e31933f"),
+        ],
+    )
+    def test_optimal_offer_digest_is_pinned(self, family, digest):
+        d = FAMILIES[family]
+        rows = []
+        for v2a, v2b in ((0.9, 0.1), (0.6, 0.3), (1.0, 0.05), (0.75, 0.7)):
+            offer = optimal_offer(v2a, v2b, d, d)
+            rows.append((offer.t_star, offer.expected_payoff, offer.acceptance))
+        assert _digest(rows) == digest
+
+    @pytest.mark.parametrize(
+        "family, digest",
+        [
+            ("uniform", "4417bf95083f58174ab9df41453603987979b94fc838b84f484bdb8b67d01d7e"),
+            ("truncnorm", "975ec4f74a27ef75b35c75d1859144a3ef6ed4cb3cde5ba17daa9bd0241ebb92"),
+        ],
+    )
+    def test_offer_distribution_digest_is_pinned(self, family, digest):
+        d = FAMILIES[family]
+        parts = []
+        for item, seed in (("A", 3), ("B", 4)):
+            dist = offer_distribution(d, d, d, d, item, 20_000, seed)
+            parts += [dist.offers, [dist.no_offer_probability, dist.offers.size]]
+        assert _digest(*parts) == digest
+
+    @pytest.mark.parametrize(
+        "family, digest",
+        [
+            ("uniform", "e282df6f141a70f7fdf621656be092671d545a75ac5f6391b1f1a66f10a6c236"),
+            ("truncnorm", "7e23abeec793232382e50df2869f8710ab4ffcdff35bad5bc66fef1424f2f71b"),
+        ],
+    )
+    def test_first_mover_and_rollout_digest_is_pinned(self, family, digest):
+        d = FAMILIES[family]
+        rows = []
+        for v1a, v1b, seed in ((0.9, 0.2, 31), (0.3, 0.7, 32)):
+            r = first_mover_expected_utility(v1a, v1b, d, d, d, d, 30_000, seed)
+            rows.append((r.eu_choose_a, r.eu_choose_b, r.se_choose_a, r.se_choose_b))
+            rows.append(
+                [simulate_first_mover_game(v1a, v1b, d, d, d, d, c, 30_000, seed + 100) for c in "AB"]
+            )
+        assert _digest(*rows) == digest
+
+    @pytest.mark.parametrize("n", [1, 15, 976, 977, 1953])
+    def test_curve_matches_whole_chunk_evaluation(self, n):
+        # Offer counts around the 976-offer chunk, on both families and a mixed pair.
+        uniform, truncnorm = FAMILIES["uniform"], FAMILIES["truncnorm"]
+        ts = np.linspace(-0.3, 1.1, n)
+        for f1a, f1b in ((uniform, uniform), (truncnorm, truncnorm), (truncnorm, uniform)):
+            got = acceptance_curve(f1a, f1b, ts)
+            assert got.tobytes() == _acceptance_curve_reference(f1a, f1b, ts).tobytes()
+
+    def test_cached_grids_match_whole_chunk_evaluation(self):
+        for d in FAMILIES.values():
+            for n in (two_agent._OFFER_GRID_POINTS, two_agent._ENVELOPE_GRID_POINTS):
+                ts, accept = two_agent._offer_grid(d, d, n)
+                assert ts.tobytes() == np.linspace(0.0, d.width, n).tobytes()
+                assert accept.tobytes() == _acceptance_curve_reference(d, d, ts).tobytes()
+
+    def test_cached_arrays_are_read_only(self):
+        d = FAMILIES["truncnorm"]
+        ts, accept = two_agent._offer_grid(d, d, two_agent._OFFER_GRID_POINTS)
+        offers, cuts = two_agent._offer_envelope(d, d)
+        for array in (ts, accept, offers, cuts):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        # What callers get back is theirs to change.
+        dist = offer_distribution(d, d, d, d, "B", 500, seed=1)
+        dist.offers[0] = -1.0
+        again = offer_distribution(d, d, d, d, "B", 500, seed=1)
+        assert again.offers.min() >= 0.0
+
+    def test_equal_pair_reuses_the_curve(self, monkeypatch):
+        calls = []
+
+        def counted(f1a, f1b, ts):
+            calls.append(np.size(ts))
+            return acceptance_curve(f1a, f1b, ts)
+
+        monkeypatch.setattr(two_agent, "acceptance_curve", counted)
+        two_agent._offer_grid.cache_clear()
+        two_agent._offer_envelope.cache_clear()
+        optimal_offer(0.9, 0.1, Uniform(0, 1), Uniform(0, 1))
+        assert calls == [two_agent._OFFER_GRID_POINTS]
+        # An equal pair written with floats shares the cache entry.
+        optimal_offer(0.8, 0.3, Uniform(0.0, 1.0), Uniform(0.0, 1.0))
+        first_mover_expected_utility(0.9, 0.2, UNIT, UNIT, UNIT, UNIT, 1000, seed=3)
+        assert calls == [two_agent._OFFER_GRID_POINTS, two_agent._ENVELOPE_GRID_POINTS]
+        # Both first-mover branches and the rollout hit the same envelope.
+        first_mover_expected_utility(0.2, 0.9, UNIT, UNIT, UNIT, UNIT, 1000, seed=4)
+        simulate_first_mover_game(0.9, 0.2, UNIT, UNIT, UNIT, UNIT, "B", 1000, seed=5)
+        assert len(calls) == 2
+        assert two_agent._offer_envelope.cache_info().misses == 1
+
+    @pytest.mark.parametrize("family", ["uniform", "truncnorm", "wide-truncnorm"])
+    def test_envelope_attains_the_grid_maximum(self, family):
+        d = FAMILIES[family]
+        ts, accept = two_agent._offer_grid(d, d, two_agent._ENVELOPE_GRID_POINTS)
+        gains = np.random.default_rng(7).uniform(0.0, 1.2 * d.width, 300)
+        offers = two_agent._grid_optimal_offers(gains, d, d)
+        assert np.all(np.isin(offers, ts))
+        chosen = (gains - offers) * accept[np.searchsorted(ts, offers)]
+        best = ((gains[:, None] - ts[None, :]) * accept[None, :]).max(axis=1)
+        assert np.all(chosen >= best - 1e-12 * np.maximum(1.0, gains))
