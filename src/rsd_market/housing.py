@@ -195,7 +195,9 @@ class AugmentedValuations:
 
     def row(self, agent: int) -> np.ndarray:
         private = self.base.row(agent)
-        return np.maximum(private, 0.5 * (private + self.public))
+        blend = private + self.public
+        blend *= 0.5
+        return np.maximum(private, blend, out=blend)
 
     def values(self, agents: np.ndarray, items: np.ndarray) -> np.ndarray:
         private = self.base.values(agents, items)

@@ -30,14 +30,50 @@ _DENSIFY_LIMIT = 4_000_000
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
+_U_MAX = np.nextafter(1.0, 0.0)
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer; uint64 arithmetic wraps mod 2**64 by design.
-    z = x
-    z = (z ^ (z >> np.uint64(30))) * _MIX_1
-    z = (z ^ (z >> np.uint64(27))) * _MIX_2
-    return z ^ (z >> np.uint64(31))
+def _hash_inputs(key: int, indices: np.ndarray) -> np.ndarray:
+    """``key + (index + 1) * GOLDEN`` per index, the input to the finalizer."""
+    z = np.array(indices, dtype=np.uint64)  # an array even for one index
+    z += np.uint64(1)
+    z *= _GOLDEN
+    z += np.uint64(key % (1 << 64))
+    return z
+
+
+def _uniforms(z: np.ndarray) -> np.ndarray:
+    """Uniforms in open (0, 1) from hash inputs (see ``_hash_inputs``).
+
+    The splitmix64 finalizer runs in place on ``z`` (overwritten) and the top
+    53 bits become ``(k + 0.5) * 2**-53``.  That rounds to exactly 1.0 when all
+    53 bits are set, so u is capped at the largest double below 1.  uint64
+    arithmetic wraps mod 2**64 by design.
+    """
+    u = np.empty(z.shape)
+    t = u.view(np.uint64)  # shift scratch; the uniforms overwrite it last
+    np.right_shift(z, 30, out=t)
+    z ^= t
+    z *= _MIX_1
+    np.right_shift(z, 27, out=t)
+    z ^= t
+    z *= _MIX_2
+    np.right_shift(z, 31, out=t)
+    z ^= t
+    z >>= 11
+    # k * 2**-53 is exact, so adding 2**-54 rounds as (k + 0.5) * 2**-53 does.
+    np.multiply(z, 2.0**-53, out=u)
+    u += 2.0**-54
+    return np.minimum(u, _U_MAX, out=u)
+
+
+def _normals(z: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarray:
+    """``means + stds * ndtri(u)`` for the uniforms of ``z``, in one buffer."""
+    u = _uniforms(z)
+    ndtri(u, out=u)
+    u *= stds
+    u += means
+    return u
 
 
 def hashed_uniforms(key: int, indices: np.ndarray) -> np.ndarray:
@@ -46,10 +82,7 @@ def hashed_uniforms(key: int, indices: np.ndarray) -> np.ndarray:
     The value depends only on ``(key, index)``, so any access pattern (row
     sweep or point lookup) reproduces bit-identical draws.
     """
-    idx = np.asarray(indices, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = _mix64(np.uint64(key % (1 << 64)) + (idx + np.uint64(1)) * _GOLDEN)
-    return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return _uniforms(_hash_inputs(key, indices))
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -101,6 +134,14 @@ class HashedNormalValuations:
     means: np.ndarray
     stds: np.ndarray
     agent_count: int
+    # Hash inputs of agent 0's cells.  Agent j's row adds the scalar
+    # j * n * GOLDEN, which is exact because uint64 arithmetic is a ring.
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        offsets = _hash_inputs(self.key, np.arange(self.n_items))
+        offsets.setflags(write=False)
+        object.__setattr__(self, "offsets", offsets)
 
     @property
     def n_agents(self) -> int:
@@ -110,20 +151,19 @@ class HashedNormalValuations:
     def n_items(self) -> int:
         return self.means.shape[0]
 
-    def _normals(self, indices: np.ndarray) -> np.ndarray:
-        return ndtri(hashed_uniforms(self.key, indices))
+    def _stride(self, agent: int) -> np.uint64:
+        """What agent ``agent``'s hash inputs add to agent 0's."""
+        return np.uint64(int(agent) * self.n_items * int(_GOLDEN) % (1 << 64))
 
     def row(self, agent: int) -> np.ndarray:
-        n = self.n_items
-        idx = np.uint64(agent) * np.uint64(n) + np.arange(n, dtype=np.uint64)
-        return self.means + self.stds * self._normals(idx)
+        return _normals(self.offsets + self._stride(agent), self.means, self.stds)
 
-    def values(self, agents: np.ndarray, items: np.ndarray) -> np.ndarray:
-        a = np.asarray(agents, dtype=np.uint64)
-        i = np.asarray(items, dtype=np.uint64)
-        idx = a * np.uint64(self.n_items) + i
+    def values(self, agents: np.ndarray, items: np.ndarray | int) -> np.ndarray:
+        """Cells ``(agents[k], items[k])``; one item broadcasts over the agents."""
         it = np.asarray(items)
-        return self.means[it] + self.stds[it] * self._normals(idx)
+        # A ufunc call, not ``+``: NumPy scalar arithmetic warns when it wraps.
+        z = np.add(self.offsets[it], np.asarray(agents, dtype=np.uint64) * self._stride(1))
+        return _normals(np.asarray(z), self.means[it], self.stds[it])
 
 
 ValuationBackend = Union[DenseValuations, HashedNormalValuations]
@@ -279,7 +319,8 @@ class Allocation:
         for item in self.assignment:
             if item is None:
                 continue
-            if not isinstance(item, (int, np.integer)) or item < 0:
+            # bool subclasses int; np.bool_ is no np.integer.
+            if type(item) is bool or not isinstance(item, (int, np.integer)) or item < 0:
                 raise ValueError(f"invalid item id {item!r}")
             if item in seen:
                 raise ValueError(f"allocation not injective: item {item} assigned twice")
@@ -308,6 +349,8 @@ class Allocation:
     @classmethod
     def from_array(cls, assignment: np.ndarray) -> "Allocation":
         """Build from an int array using -1 as the null marker."""
+        if np.asarray(assignment).dtype == bool:
+            raise ValueError("item ids must be integers, not booleans")
         return cls(tuple(None if i < 0 else int(i) for i in assignment))
 
     def to_array(self) -> np.ndarray:

@@ -53,9 +53,6 @@ class TradePolicy:
     seller_reservation_floor: bool = True
     pairwise_mode: PairwiseMode = "fixed-point"
     budget_enforced: bool = False
-    # Single-pass only: retire agents from selling after their first sale.
-    # Off by default, where only a purchase retires an agent.
-    sellers_exit_after_sale: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.surplus_split <= 1.0:
@@ -81,8 +78,8 @@ class TransactionCost:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "fixed", "proportional"):
             raise ValueError(f"unknown transaction cost kind {self.kind!r}")
-        if self.amount < 0:
-            raise ValueError("transaction cost must be nonnegative")
+        if not self.amount >= 0:  # also rejects NaN
+            raise ValueError("transaction cost must be a nonnegative number")
         if self.kind == "none" and self.amount != 0.0:
             raise ValueError("kind 'none' cannot carry an amount")
 
@@ -294,8 +291,9 @@ def pairwise_aftermarket(
 
     transfers = np.zeros(m)
     fees = np.zeros(m)
-    bought = np.zeros(m, dtype=bool)
-    sold = np.zeros(m, dtype=bool)
+    # Held items whose holder may still sell; in single-pass a buyer's new
+    # item leaves the market with them.
+    for_sale = owner >= 0
     log: list[TradeRecord] = []
     single_pass = policy.pairwise_mode == "single-pass"
 
@@ -304,17 +302,13 @@ def pairwise_aftermarket(
         if item_j < 0:
             return False
         row = instance.row(j)
-        mask = (owner >= 0) & (owner != j)
-        if single_pass:
-            mask &= ~bought[np.clip(owner, 0, None)]
-            if policy.sellers_exit_after_sale:
-                mask &= ~sold[np.clip(owner, 0, None)]
-            mask &= row > row[item_j]
+        mask = for_sale & (row > row[item_j]) if single_pass else for_sale.copy()
+        mask[item_j] = False
         cand = np.nonzero(mask)[0]
         if cand.size == 0:
             return False
         sellers = owner[cand]
-        seller_other = instance.valuations.values(sellers, np.full(cand.size, item_j))
+        seller_other = instance.valuations.values(sellers, item_j)
         ceiling = row[cand] - row[item_j]
         ok, price = bilateral_price(own_value[cand] - seller_other, ceiling, policy, cost)
         gain = ceiling - price
@@ -353,14 +347,12 @@ def pairwise_aftermarket(
             )
         )
         if single_pass:
-            bought[j] = True
-            sold[k] = True
+            for_sale[item_k] = False
         return True
 
     if single_pass:
         for j in order_t:
-            if not bought[j]:
-                visit(j)
+            visit(j)
     else:
         # Each executed trade strictly raises total allocation welfare, which is
         # a pure function of the (finite) allocation state, so the sweeps must
@@ -438,7 +430,7 @@ def interim_transfers(
                 ceiling = row[held] - row[favorite]
                 feasible, price = bilateral_price(
                     instance.valuations.values(earlier, held)
-                    - instance.valuations.values(earlier, np.full(earlier.size, favorite)),
+                    - instance.valuations.values(earlier, favorite),
                     ceiling,
                     policy,
                 )

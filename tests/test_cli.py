@@ -222,6 +222,12 @@ class TestSimCommands:
         for name in ("report.json", "deltas.csv", "trades.csv"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
+    @pytest.mark.parametrize("tau", ["fixed:nan", "prop:nan", "fixed:-1"])
+    def test_invalid_fee_is_exit_3(self, capsys, tau):
+        code = dispatch(["sim", "housing", "--agents", "10", "--reps", "1", "--tau", tau])
+        err = capsys.readouterr().err
+        assert code == 3 and "Traceback" not in err and "error: " in err
+
     def test_sweep_outputs(self, capsys, tmp_path):
         out_dir = tmp_path / "sweep"
         code, payload = run_json(
@@ -294,6 +300,15 @@ class TestConfigFile:
         )
         assert code == 0
         assert payload["trade_log"][0]["price"] == 9.0
+
+    @pytest.mark.parametrize("text", ["", "\n", "  ", "# defaults\n\n"])
+    def test_config_without_entries(self, capsys, tmp_path, text):
+        cfg = tmp_path / "conf"
+        cfg.write_text(text)
+        code, payload = run_json(
+            capsys, ["--config", str(cfg), "equilibrium", "solve", "--scenario", "example-3.1"]
+        )
+        assert code == 0 and payload["verified"]
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "conf"
@@ -390,8 +405,10 @@ malformed_instances = st.one_of(
     _with("budgets", json_values.filter(lambda v: v is not None and not isinstance(v, list))),
 )
 
+# Non-object values go in as JSON text: a raw string such as "" or "#" is a
+# well-formed (empty) key=value file, pinned by ``test_config_without_entries``.
 malformed_configs = st.one_of(
-    json_values.filter(lambda v: not isinstance(v, dict)),
+    json_values.filter(lambda v: not isinstance(v, dict)).map(json.dumps),
     st.dictionaries(
         st.text(max_size=6),
         json_values.filter(lambda v: isinstance(v, (bool, list, dict)) or v is None),

@@ -8,6 +8,7 @@ import pytest
 
 from rsd_market.market import (
     Allocation,
+    HashedNormalValuations,
     MarketInstance,
     Outcome,
     TradeRecord,
@@ -109,6 +110,73 @@ def interim_reference(instance, order, agent_model, policy):
         transfers=tuple(float(t) for t in transfers),
         trade_log=tuple(log),
     )
+
+
+def aftermarket_reference(instance, endowment, order, policy, cost):
+    """Reference for ``pairwise_aftermarket``: every visit rebuilds the
+    candidate mask from the owners and a per-agent ``bought`` flag, and reads
+    seller values with one item id per seller."""
+    m, n = instance.n_agents, instance.n_items
+    assignment = endowment.to_array()
+    owner = np.full(n, -1, dtype=np.int64)
+    own_value = np.zeros(n)
+    for j, item in enumerate(assignment):
+        if item >= 0:
+            owner[item] = j
+            own_value[item] = instance.value(j, int(item))
+    transfers = np.zeros(m)
+    fees = np.zeros(m)
+    bought = np.zeros(m, dtype=bool)
+    log = []
+    single_pass = policy.pairwise_mode == "single-pass"
+
+    def visit(j):
+        item_j = int(assignment[j])
+        if item_j < 0:
+            return False
+        row = instance.row(j)
+        mask = (owner >= 0) & (owner != j)
+        if single_pass:
+            mask &= ~bought[np.clip(owner, 0, None)]
+            mask &= row > row[item_j]
+        cand = np.nonzero(mask)[0]
+        if cand.size == 0:
+            return False
+        sellers = owner[cand]
+        seller_other = instance.valuations.values(sellers, np.full(cand.size, item_j))
+        ceiling = row[cand] - row[item_j]
+        ok, price = bilateral_price(own_value[cand] - seller_other, ceiling, policy, cost)
+        gain = ceiling - price
+        if policy.budget_enforced:
+            ok &= price <= instance.budgets[j] + transfers[j] - fees[j]
+        if not np.any(ok):
+            return False
+        gain = np.where(ok, gain, -np.inf)
+        pick = int(np.argmax(gain))
+        if not np.isfinite(gain[pick]):
+            return False
+        item_k, k, p = int(cand[pick]), int(sellers[pick]), float(price[pick])
+        fee = float(np.asarray(cost.fee(p)))
+        transfers[j] -= p
+        transfers[k] += p
+        fees[k] += fee
+        assignment[j], assignment[k] = item_k, item_j
+        owner[item_k], owner[item_j] = j, k
+        own_value[item_k] = float(row[item_k])
+        own_value[item_j] = float(seller_other[pick])
+        log.append(TradeRecord(len(log), j, k, item_k, item_j, p, fee))
+        if single_pass:
+            bought[j] = True
+        return True
+
+    if single_pass:
+        for j in order:
+            if not bought[j]:
+                visit(j)
+    else:
+        while any([visit(j) for j in order]):
+            pass
+    return Allocation.from_array(assignment), tuple(float(t) for t in transfers), tuple(log)
 
 
 class TestSerialDictatorship:
@@ -335,6 +403,14 @@ class TestBilateralPrice:
 
 
 class TestTransactionCosts:
+    def test_nan_amount_rejected(self):
+        for kind in ("fixed", "proportional"):
+            with pytest.raises(ValueError):
+                TransactionCost(kind, float("nan"))
+            assert TransactionCost(kind, float("inf")).amount == float("inf")
+        with pytest.raises(ValueError):
+            parse_cost("fixed:nan")
+
     def test_parse_specs(self):
         assert parse_cost("none") == NO_COST
         assert parse_cost("fixed:3.5") == TransactionCost("fixed", 3.5)
@@ -419,9 +495,7 @@ class TestTransactionCosts:
         # normal 6x6 markets with random budgets and pick orders.  At split 1
         # the buyer pays the whole ceiling, so only weak buyer gain holds.
         rng = np.random.default_rng(31)
-        fields = itertools.product(
-            (True, False), ("fixed-point", "single-pass"), (True, False), (True, False)
-        )
+        fields = itertools.product((True, False), ("fixed-point", "single-pass"), (True, False))
         policies = [TradePolicy(split, *rest) for rest in fields]
         for trial in range(12):
             values = rng.integers(0, 10, (6, 6)) if trial % 2 else rng.normal(10.0, 4.0, (6, 6))
@@ -537,14 +611,44 @@ class TestAftermarketEngine:
             assert rec.counterparty not in bought_at, "buyer later resurfaced as seller"
             bought_at[rec.proposer] = rec.step
 
-    def test_sellers_exit_flag(self):
-        rng = np.random.default_rng(13)
-        inst = MarketInstance.from_matrix(rng.normal(100, 30, (30, 30)))
-        order = tuple(int(j) for j in rng.permutation(30))
-        endow = serial_dictatorship(inst, order).allocation
-        policy = TradePolicy(
-            surplus_split=0.0, pairwise_mode="single-pass", sellers_exit_after_sale=True
-        )
-        _, _, log = pairwise_aftermarket(inst, endow, order, policy)
-        sellers = [rec.counterparty for rec in log]
-        assert len(sellers) == len(set(sellers))
+    @pytest.mark.parametrize("mode", ["fixed-point", "single-pass"])
+    def test_matches_the_rebuilt_mask_reference(self, mode):
+        # Dense integer and normal markets (square and rectangular, with
+        # random partial endowments) and hashed normal markets, under every
+        # floor/budget setting, three splits and four costs.
+        rng = np.random.default_rng(47 if mode == "single-pass" else 48)
+        costs = [NO_COST, TransactionCost("fixed", 2.0), TransactionCost("proportional", 0.2),
+                 TransactionCost("proportional", 1.5)]
+        trades = 0
+        for trial in range(24):
+            m, n = (int(x) for x in rng.integers(1, 10, size=2))
+            if trial % 3 == 0:
+                values = rng.integers(-3, 12, (m, n)).astype(float)
+            elif trial % 3 == 1:
+                values = rng.normal(20.0, 8.0, (m, n))
+            if trial % 3 < 2:
+                inst = MarketInstance.from_matrix(values, rng.uniform(0.0, 10.0, m))
+                items = rng.permutation(n)[: min(m, n)]
+                slots = rng.permutation(m)[: items.size]
+                assignment = np.full(m, -1)
+                assignment[slots] = items
+                endow = Allocation.from_array(assignment)
+            else:
+                m = n = int(rng.integers(5, 40))
+                backend = HashedNormalValuations(
+                    key=int(rng.integers(0, 2**63)),
+                    means=rng.uniform(100.0, 1_000.0, n),
+                    stds=rng.uniform(20.0, 40.0, n),
+                    agent_count=n,
+                )
+                inst = MarketInstance(backend, rng.uniform(0.0, 300.0, n))
+                endow = Allocation.from_array(rng.permutation(n))
+            order = tuple(int(j) for j in rng.permutation(m))
+            for split, floor, budget, cost in itertools.product(
+                (0.0, 0.5, 1.0), (True, False), (True, False), costs
+            ):
+                policy = TradePolicy(split, floor, mode, budget)
+                out = pairwise_aftermarket(inst, endow, order, policy, cost)
+                assert out == aftermarket_reference(inst, endow, order, policy, cost)
+                trades += len(out[2])
+        assert trades > 500
