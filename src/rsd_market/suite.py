@@ -95,9 +95,16 @@ def trade_log_soundness(
             problems.append(f"step {rec.step}: seller worse off by {seller_gain!r}")
         state[rec.proposer] = rec.item_acquired
         state[rec.counterparty] = rec.item_given
+    # Cash endowments enter both sides equally, so compare item value plus net
+    # transfer: added to a large budget, a sub-ulp difference would round to
+    # a spurious loss (or hide a real one).
     fees = outcome.seller_costs()
-    pre = market.utilities(instance, market.zero_outcome(pre_allocation))
-    post = market.utilities(instance, outcome) - fees
+    pre = np.array([instance.value(j, item) for j, item in enumerate(pre_allocation.assignment)])
+    post = (
+        np.array([instance.value(j, item) for j, item in enumerate(outcome.allocation.assignment)])
+        + np.asarray(outcome.transfers, dtype=np.float64)
+        - fees
+    )
     if np.any(post < pre - atol):
         worst = float(np.min(post - pre))
         problems.append(f"final outcome not weakly dominant over pre-trade (worst {worst!r})")

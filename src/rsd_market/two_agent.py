@@ -8,13 +8,18 @@ offers, and the first mover's expected utility from either initial pick.
 Offers are restricted to ``t >= 0`` (the proposer pays to obtain the better
 item).  An acceptance curve, and the envelope of optimal offers read off it,
 depend only on the (frozen, hashable) distribution pair, so each is computed
-once per process and shared read-only.
+once per process and shared read-only.  The optimal offer is nondecreasing in
+the gain from trade, so the sorted offer law is the envelope's offers, each
+repeated by the number of sorted draws between its cut points.
+
+Distribution parameters and player values must be finite; anything else
+raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -28,6 +33,11 @@ _OFFER_GRID_POINTS = 2001
 _OFFER_RESOLUTION = 1e-5
 _ENVELOPE_GRID_POINTS = 8193
 _CDF_ROWS = 16
+
+
+def _require_finite(what: str, *values: float) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{what} must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -61,11 +71,12 @@ class Uniform(ValueDistribution):
     upper: float
 
     def __post_init__(self) -> None:
+        _require_finite("uniform support", self.lower, self.upper)
         if not self.upper > self.lower:
             raise ValueError("uniform support must have positive width")
 
     def cdf(self, x):
-        return np.clip((np.asarray(x, dtype=float) - self.lower) / self.width, 0.0, 1.0)
+        return ((np.asarray(x, dtype=float) - self.lower) / self.width).clip(0.0, 1.0)
 
     def quantile(self, u):
         return self.lower + np.asarray(u, dtype=float) * self.width
@@ -79,26 +90,34 @@ class TruncatedNormal(ValueDistribution):
     upper: float
     mu: float
     sigma: float
+    # Standard normal cdf at the two truncation points, and their gap.
+    phi_lower: float = field(init=False, repr=False, compare=False)
+    phi_gap: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _require_finite("truncated normal parameters", self.lower, self.upper, self.mu, self.sigma)
         if not self.upper > self.lower:
             raise ValueError("support must have positive width")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-
-    def _phi_bounds(self) -> tuple[float, float]:
-        a = ndtr((self.lower - self.mu) / self.sigma)
-        b = ndtr((self.upper - self.mu) / self.sigma)
-        return float(a), float(b)
+        a = float(ndtr((self.lower - self.mu) / self.sigma))
+        b = float(ndtr((self.upper - self.mu) / self.sigma))
+        object.__setattr__(self, "phi_lower", a)
+        object.__setattr__(self, "phi_gap", b - a)
 
     def cdf(self, x):
-        a, b = self._phi_bounds()
         z = ndtr((np.asarray(x, dtype=float) - self.mu) / self.sigma)
-        return np.clip((z - a) / (b - a), 0.0, 1.0)
+        return ((z - self.phi_lower) / self.phi_gap).clip(0.0, 1.0)
 
     def quantile(self, u):
-        a, b = self._phi_bounds()
-        return self.mu + self.sigma * ndtri(a + np.asarray(u, dtype=float) * (b - a))
+        # mu + sigma * ndtri(phi_lower + u * phi_gap), step by step in one copy of u.
+        out = np.array(u, dtype=float)
+        out *= self.phi_gap
+        out += self.phi_lower
+        ndtri(out, out=out)
+        out *= self.sigma
+        out += self.mu
+        return out[()]
 
 
 @dataclass(frozen=True)
@@ -106,6 +125,9 @@ class PointMass(ValueDistribution):
     """Degenerate distribution concentrated on a single value."""
 
     value: float
+
+    def __post_init__(self) -> None:
+        _require_finite("point mass", self.value)
 
     @property
     def lower(self) -> float:  # type: ignore[override]
@@ -148,7 +170,7 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _gl_panel(f, a: float, b: float, n: int) -> float:
     x, w = _gl_nodes(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return float(half * np.sum(w * f(mid + half * x)))
+    return float(half * (w * f(mid + half * x)).sum())
 
 
 def _adaptive_gl(f, a: float, b: float, tol: float, depth: int = 0) -> float:
@@ -174,8 +196,8 @@ def stieltjes_cdf_integral(
     the band where ``x - shift`` crosses the inner support, so only the middle
     band needs quadrature.
     """
-    u_lo = float(np.clip(outer.cdf(shift + inner.lower), 0.0, 1.0))
-    u_hi = float(np.clip(outer.cdf(shift + inner.upper), 0.0, 1.0))
+    u_lo = min(max(float(outer.cdf(shift + inner.lower)), 0.0), 1.0)
+    u_hi = min(max(float(outer.cdf(shift + inner.upper)), 0.0), 1.0)
     if u_hi < u_lo:
         u_lo, u_hi = u_hi, u_lo
 
@@ -183,7 +205,7 @@ def stieltjes_cdf_integral(
         return np.asarray(inner.cdf(outer.quantile(u) - shift), dtype=float)
 
     middle = _adaptive_gl(integrand, u_lo, u_hi, _QUAD_TOL)
-    return float(np.clip(middle + (1.0 - u_hi), 0.0, 1.0))
+    return min(max(middle + (1.0 - u_hi), 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +299,7 @@ def acceptance_curve(
             hi = min(lo + _CDF_ROWS, stop)
             inner[lo - start : hi - start] = f1b.cdf(x[None, :] - ts[lo:hi, None])
         out[start:stop] = inner[: stop - start] @ weights
-    return np.clip(1.0 - out, 0.0, 1.0)
+    return (1.0 - out).clip(0.0, 1.0)
 
 
 @lru_cache(maxsize=16)
@@ -311,6 +333,7 @@ def optimal_offer(
     the smallest offer.  Requires a trade motive ``v2a > v2b`` (pass
     ``allow_equal_values`` to admit the boundary case, whose optimum is 0).
     """
+    _require_finite("values", v2a, v2b)
     if v2a < v2b or (v2a == v2b and not allow_equal_values):
         raise PreconditionError("no trade motive: the held item is already preferred")
     _require_common_support(f1a, f1b)
@@ -443,9 +466,12 @@ def offer_distribution(
 ) -> OfferDistribution:
     """Monte-Carlo law of the second player's optimal offer.
 
-    Draws the second player's private values, keeps the draws with a motive to
-    trade away from ``received_item``, and computes each draw's optimal offer
-    on a shared dense grid.  Same seed, same distribution.
+    Draws the second player's private values, sorts the gains from trading
+    away ``received_item`` and keeps the positive ones.  The grid-optimal
+    offer is a nondecreasing step function of the gain (the cached envelope),
+    so the sorted offers are the envelope's offers repeated by the number of
+    gains between consecutive cut points: one binary search per cut, none per
+    draw.  Same seed, same distribution.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be at least 1")
@@ -464,8 +490,14 @@ def offer_distribution(
         gains = vb - va
         outer, inner = f1b, f1a
         no_offer = stieltjes_cdf_integral(f2a, f2b, 0.0)
-    gains = gains[gains > 0]
-    offers = np.sort(_grid_optimal_offers(gains, outer, inner)) if gains.size else np.array([])
+    gains.sort()
+    gains = gains[np.searchsorted(gains, 0.0, side="right") :]
+    if gains.size:
+        envelope_offers, cuts = _offer_envelope(outer, inner)
+        counts = np.diff(np.searchsorted(gains, cuts, side="right"), prepend=0, append=gains.size)
+        offers = np.repeat(envelope_offers, counts)
+    else:
+        offers = np.array([])
     return OfferDistribution(
         offers=offers,
         no_offer_probability=float(no_offer),
@@ -522,6 +554,7 @@ def first_mover_expected_utility(
     conditions on them wanting A, and symmetrically for picking B.  Ties on
     the comparison go to A.
     """
+    _require_finite("values", v1a, v1b)
     seeds = np.random.SeedSequence(seed).generate_state(2)
     offers_after_a = offer_distribution(f2a, f2b, f1a, f1b, "B", n_draws, int(seeds[0]))
     offers_after_b = offer_distribution(f2a, f2b, f1a, f1b, "A", n_draws, int(seeds[1]))
@@ -554,6 +587,7 @@ def simulate_first_mover_game(
     """
     if choice not in ("A", "B"):
         raise ValueError("choice must be 'A' or 'B'")
+    _require_finite("values", v1a, v1b)
     _require_common_support(f1a, f1b)
     rng = np.random.default_rng(seed)
     va = f2a.sample(rng, n_draws)

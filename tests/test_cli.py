@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,29 @@ class TestDispatch:
         assert code == 0
         assert payload["best_choice"] in ("A", "B")
         assert payload["seed"] == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--dist", "truncnorm:0,1,0.5,nan", "--v2a", "0.9", "--v2b", "0.1"],
+            ["solve", "--dist", "truncnorm:0,1,nan,0.2", "--v2a", "0.9", "--v2b", "0.1"],
+            ["solve", "--dist", "truncnorm:0,1,0.5,inf", "--v2a", "0.9", "--v2b", "0.1"],
+            ["solve", "--dist", "uniform:0,inf", "--v2a", "0.9", "--v2b", "0.1"],
+            ["solve", "--dist-2b", "point:nan", "--v2a", "0.9", "--v2b", "0.1"],
+            ["solve", "--v2a", "nan", "--v2b", "0.1"],
+            ["solve", "--v2a", "0.9", "--v2b=-inf", "--draws", "100", "--seed", "1"],
+            ["first-mover", "--v1a", "nan", "--v1b", "0.4", "--draws", "100", "--seed", "1"],
+            ["first-mover", "--v1a", "0.7", "--v1b", "inf", "--draws", "100", "--seed", "1"],
+        ],
+    )
+    def test_nonfinite_two_agent_input_is_exit_3(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = dispatch(["two-agent", *argv])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert [str(w.message) for w in caught] == []
 
     def test_env_seed_is_used(self, capsys, monkeypatch):
         monkeypatch.setenv("RSD_MARKET_SEED", "424242")

@@ -50,6 +50,23 @@ class TestDistributions:
         assert np.array_equal(a, b)
         assert a.min() >= 0.0 and a.max() <= 1.0
 
+    @pytest.mark.parametrize(
+        "cls, params",
+        [
+            (Uniform, (0.0, float("inf"))),
+            (Uniform, (float("nan"), 1.0)),
+            (TruncatedNormal, (0.0, 1.0, 0.5, float("nan"))),
+            (TruncatedNormal, (0.0, 1.0, float("nan"), 0.2)),
+            (TruncatedNormal, (0.0, 1.0, 0.5, float("inf"))),
+            (TruncatedNormal, (float("-inf"), 1.0, 0.5, 0.2)),
+            (PointMass, (float("nan"),)),
+            (PointMass, (float("inf"),)),
+        ],
+    )
+    def test_nonfinite_parameters_rejected(self, cls, params):
+        with pytest.raises(ValueError, match="finite"):
+            cls(*params)
+
     def test_parse_specs(self):
         assert parse_distribution("uniform:0,1") == UNIT
         assert parse_distribution("truncnorm:0,1,0.5,0.2") == TruncatedNormal(0, 1, 0.5, 0.2)
@@ -232,6 +249,22 @@ class TestFirstMover:
             assert abs(eu - sim) <= max(3 * float(np.hypot(se, sim_se)), 1e-6)
 
 
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_values_rejected(self, bad):
+        calls = (
+            lambda: optimal_offer(bad, 0.1, UNIT, UNIT),
+            lambda: optimal_offer(0.9, bad, UNIT, UNIT),
+            lambda: first_mover_expected_utility(bad, 0.4, UNIT, UNIT, UNIT, UNIT, 100, seed=1),
+            lambda: first_mover_expected_utility(0.7, bad, UNIT, UNIT, UNIT, UNIT, 100, seed=1),
+            lambda: simulate_first_mover_game(bad, 0.4, UNIT, UNIT, UNIT, UNIT, "A", 100, seed=1),
+            lambda: simulate_first_mover_game(0.7, bad, UNIT, UNIT, UNIT, UNIT, "B", 100, seed=1),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
+
 class TestStieltjes:
     def test_point_mass_outer_collapses_to_lookup(self):
         assert stieltjes_cdf_integral(PointMass(0.8), UNIT, 0.0) == pytest.approx(0.8)
@@ -382,3 +415,94 @@ class TestSharedCurves:
         chosen = (gains - offers) * accept[np.searchsorted(ts, offers)]
         best = ((gains[:, None] - ts[None, :]) * accept[None, :]).max(axis=1)
         assert np.all(chosen >= best - 1e-12 * np.maximum(1.0, gains))
+
+
+def _offer_law_reference(f2a, f2b, f1a, f1b, received_item, n_draws, seed):
+    """Per-draw envelope lookup, then a sort: the offers ``offer_distribution``
+    must equal byte for byte."""
+    rng = np.random.default_rng(seed)
+    va = f2a.sample(rng, n_draws)
+    vb = f2b.sample(rng, n_draws)
+    if received_item == "B":
+        gains, outer, inner = va - vb, f1a, f1b
+    else:
+        gains, outer, inner = vb - va, f1b, f1a
+    gains = gains[gains > 0]
+    if not gains.size:
+        return np.array([])
+    return np.sort(two_agent._grid_optimal_offers(gains, outer, inner))
+
+
+# (f2a, f2b, f1a, f1b); the mixed pair gives each branch its own envelope.
+OFFER_LAW_PAIRS = {
+    "uniform": (FAMILIES["uniform"],) * 4,
+    "truncnorm": (FAMILIES["truncnorm"],) * 4,
+    "mixed": (FAMILIES["uniform"], FAMILIES["truncnorm"], FAMILIES["truncnorm"], FAMILIES["uniform"]),
+}
+
+
+class TestOfferLaw:
+    """The sorted offers come from bucket counts over the envelope's cut
+    points; they must equal the per-draw lookup followed by a sort."""
+
+    def assert_matches_reference(self, dists, item, n_draws, seed):
+        got = offer_distribution(*dists, item, n_draws, seed)
+        ref = _offer_law_reference(*dists, item, n_draws, seed)
+        assert got.offers.dtype == ref.dtype
+        assert got.offers.tobytes() == ref.tobytes()
+        assert got.degenerate == (ref.size == 0)
+        return got
+
+    @pytest.mark.parametrize("n_draws", [1, 2, 3, 1000, 100_000])
+    @pytest.mark.parametrize("pair", sorted(OFFER_LAW_PAIRS))
+    def test_matches_per_draw_reference(self, pair, n_draws):
+        for item, seed in (("A", 41), ("B", 42)):
+            self.assert_matches_reference(OFFER_LAW_PAIRS[pair], item, n_draws, seed)
+
+    @pytest.mark.parametrize("low, high", [(0.2, 0.8), (0.5, 0.5)])
+    def test_degenerate_draws(self, low, high):
+        # Point masses give every draw the same gain: all negative, all
+        # positive, or exactly 0.0 (no motive) when the values are equal.
+        dists = (PointMass(low), PointMass(high), UNIT, UNIT)
+        sizes = [self.assert_matches_reference(dists, item, 500, 3).offers.size for item in "AB"]
+        assert sizes == ([500, 0] if low < high else [0, 0])
+
+    def test_gains_at_zero_and_at_cut_points(self, monkeypatch):
+        d = FAMILIES["truncnorm"]
+        _, cuts = two_agent._offer_envelope(d, d)
+        picks = cuts[[0, 1, cuts.size // 2, -2, -1]]
+        planted = np.concatenate(
+            [
+                [0.0, -0.0, -1e-300, 5e-324, -1.0, 2.0 * cuts[-1], 10.0],
+                picks,
+                np.nextafter(picks, -np.inf),
+                np.nextafter(picks, np.inf),
+            ]
+        )
+        # Two uniforms whose draws are scripted: one yields the planted gains,
+        # the other zeros, so either received item sees exactly those gains.
+        gain_source, zero_source = Uniform(0.0, 1.0), Uniform(0.0, 2.0)
+        scripted = {gain_source: planted, zero_source: np.zeros(planted.size)}
+        monkeypatch.setattr(Uniform, "sample", lambda self, rng, size: scripted[self].copy())
+        for item, f2 in (("B", (gain_source, zero_source)), ("A", (zero_source, gain_source))):
+            got = self.assert_matches_reference((*f2, d, d), item, planted.size, 1)
+            assert got.offers.size == np.count_nonzero(planted > 0)
+
+    def test_equal_truncated_normals_share_cached_curves(self, monkeypatch):
+        calls = []
+
+        def counted(f1a, f1b, ts):
+            calls.append(np.size(ts))
+            return acceptance_curve(f1a, f1b, ts)
+
+        monkeypatch.setattr(two_agent, "acceptance_curve", counted)
+        two_agent._offer_grid.cache_clear()
+        two_agent._offer_envelope.cache_clear()
+        # The stored truncation bounds stay out of equality, hashing and repr.
+        a, b = TruncatedNormal(0, 1, 0.6, 0.2), TruncatedNormal(0.0, 1.0, 0.6, 0.2)
+        assert a == b and hash(a) == hash(b) and "phi" not in repr(a)
+        optimal_offer(0.9, 0.1, a, a)
+        optimal_offer(0.8, 0.3, b, b)
+        offer_distribution(a, a, a, a, "B", 1000, seed=2)
+        offer_distribution(b, b, b, b, "A", 1000, seed=3)
+        assert calls == [two_agent._OFFER_GRID_POINTS, two_agent._ENVELOPE_GRID_POINTS]
