@@ -6,11 +6,13 @@ expected payoff and its maximizer, the Monte-Carlo distribution of optimal
 offers, and the first mover's expected utility from either initial pick.
 
 Offers are restricted to ``t >= 0`` (the proposer pays to obtain the better
-item).  An acceptance curve, and the envelope of optimal offers read off it,
-depend only on the (frozen, hashable) distribution pair, so each is computed
-once per process and shared read-only.  The optimal offer is nondecreasing in
-the gain from trade, so the sorted offer law is the envelope's offers, each
-repeated by the number of sorted draws between its cut points.
+item).  Acceptance comes from one banded adaptive Gauss-Legendre rule,
+vectorized over offers.  An acceptance curve, and the envelope of optimal
+offers read off it, depend only on the (frozen, hashable) distribution pair,
+so each is computed once per process and shared read-only.  The optimal offer
+is nondecreasing in the gain from trade, so the sorted offer law is the
+envelope's offers, each repeated by the number of sorted draws between its
+cut points.
 
 Distribution parameters and player values must be finite; anything else
 raises ``ValueError``.
@@ -32,7 +34,6 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _OFFER_GRID_POINTS = 2001
 _OFFER_RESOLUTION = 1e-5
 _ENVELOPE_GRID_POINTS = 8193
-_CDF_ROWS = 16
 
 
 def _require_finite(what: str, *values: float) -> None:
@@ -84,13 +85,17 @@ class Uniform(ValueDistribution):
 
 @dataclass(frozen=True)
 class TruncatedNormal(ValueDistribution):
-    """Normal(mu, sigma) conditioned on the compact interval [lower, upper]."""
+    """Normal(mu, sigma) conditioned on the compact interval [lower, upper].
+
+    An interval above the mean is standardized with ``sign = -1``, so ``ndtr``
+    works in the lower tail, where it keeps its precision."""
 
     lower: float
     upper: float
     mu: float
     sigma: float
-    # Standard normal cdf at the two truncation points, and their gap.
+    # Standard normal cdf at the two signed truncation points, and their gap.
+    sign: float = field(init=False, repr=False, compare=False)
     phi_lower: float = field(init=False, repr=False, compare=False)
     phi_gap: float = field(init=False, repr=False, compare=False)
 
@@ -100,22 +105,26 @@ class TruncatedNormal(ValueDistribution):
             raise ValueError("support must have positive width")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        a = float(ndtr((self.lower - self.mu) / self.sigma))
-        b = float(ndtr((self.upper - self.mu) / self.sigma))
+        sign = -1.0 if self.lower > self.mu else 1.0
+        a = float(ndtr((self.lower - self.mu) / (sign * self.sigma)))
+        b = float(ndtr((self.upper - self.mu) / (sign * self.sigma)))
+        if b == a:
+            raise ValueError("truncated normal has no probability mass on its support")
+        object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "phi_lower", a)
         object.__setattr__(self, "phi_gap", b - a)
 
     def cdf(self, x):
-        z = ndtr((np.asarray(x, dtype=float) - self.mu) / self.sigma)
+        z = ndtr((np.asarray(x, dtype=float) - self.mu) / (self.sign * self.sigma))
         return ((z - self.phi_lower) / self.phi_gap).clip(0.0, 1.0)
 
     def quantile(self, u):
-        # mu + sigma * ndtri(phi_lower + u * phi_gap), step by step in one copy of u.
+        # mu + sign * sigma * ndtri(phi_lower + u * phi_gap), step by step in one copy of u.
         out = np.array(u, dtype=float)
         out *= self.phi_gap
         out += self.phi_lower
         ndtri(out, out=out)
-        out *= self.sigma
+        out *= self.sign * self.sigma
         out += self.mu
         return out[()]
 
@@ -162,50 +171,72 @@ def parse_distribution(spec: str) -> ValueDistribution:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+# Offers per block: keeps a long curve's node arrays to a few megabytes.
+_SHIFT_BLOCK = 512
 
 
-def _gl_panel(f, a: float, b: float, n: int) -> float:
-    x, w = _gl_nodes(n)
+@lru_cache(maxsize=1)
+def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a 48-node Gauss-Legendre panel on [-1, 1], then of
+    a 96-node one, so one integrand call serves both panels.  Built on first
+    use: ``leggauss`` solves an eigenproblem, and starting LAPACK at import
+    would cost every importer about 1 MB."""
+    (x48, w48), (x96, w96) = (np.polynomial.legendre.leggauss(n) for n in (48, 96))
+    return np.concatenate([x48, x96]), np.concatenate([w48, w96])
+
+
+def _adaptive_bands(outer, inner, shift, a, b, tol, depth=0):
+    """Integral of ``inner.cdf(outer.quantile(u) - shift)`` over ``u`` in
+    ``[a, b]``, one row per entry of the equal-length arrays.  A row whose 48-
+    and 96-node panels differ by more than ``tol`` is the sum of its halves,
+    each with ``tol / 2``, down to depth 12; any other row is its 96-node panel.
+    """
+    nodes, weights = _gl_rule()
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return float(half * (w * f(mid + half * x)).sum())
+    u = mid[:, None] + half[:, None] * nodes
+    wf = weights * inner.cdf(outer.quantile(u) - shift[:, None])
+    coarse = half * wf[:, :48].sum(axis=1)
+    fine = half * wf[:, 48:].sum(axis=1)
+    split = np.flatnonzero(np.abs(fine - coarse) > tol) if depth < 12 else []
+    if len(split):
+        s, m = shift[split], mid[split]
+        halves = _adaptive_bands(
+            outer, inner, np.concatenate([s, s]), np.concatenate([a[split], m]),
+            np.concatenate([m, b[split]]), tol / 2, depth + 1,
+        )
+        fine[split] = halves[: len(split)] + halves[len(split) :]
+    return fine
 
 
-def _adaptive_gl(f, a: float, b: float, tol: float, depth: int = 0) -> float:
-    if b - a <= 0:
-        return 0.0
-    coarse = _gl_panel(f, a, b, 48)
-    fine = _gl_panel(f, a, b, 96)
-    if abs(fine - coarse) <= tol or depth >= 12:
-        return fine
-    mid = 0.5 * (a + b)
-    return _adaptive_gl(f, a, mid, tol / 2, depth + 1) + _adaptive_gl(
-        f, mid, b, tol / 2, depth + 1
-    )
+def _shifted_cdf_mean(
+    outer: ValueDistribution, inner: ValueDistribution, shifts: np.ndarray
+) -> np.ndarray:
+    """``E[inner.cdf(X - s)]`` for ``X ~ outer``, for each ``s`` in the 1-d ``shifts``.
+
+    With ``u = outer.cdf(x)`` the integrand is 0 below and 1 above the band
+    ``[outer.cdf(s + inner.lower), outer.cdf(s + inner.upper)]``, so only the
+    band needs quadrature.  A band of width 0 integrates to exactly 0, which
+    gives a point-mass inner its closed form ``1 - outer.cdf(s + value)``; a
+    point-mass outer is ``inner.cdf(value - s)``.  Each value depends only on
+    its own shift.
+    """
+    if isinstance(outer, PointMass):
+        return np.asarray(inner.cdf(outer.value - shifts), dtype=float)
+    u_lo, u_hi = outer.cdf(np.add.outer((inner.lower, inner.upper), shifts)).clip(0.0, 1.0)
+    middle = np.empty(shifts.size)
+    for i in range(0, shifts.size, _SHIFT_BLOCK):
+        block = slice(i, i + _SHIFT_BLOCK)
+        middle[block] = _adaptive_bands(
+            outer, inner, shifts[block], u_lo[block], u_hi[block], _QUAD_TOL
+        )
+    return (middle + (1.0 - u_hi)).clip(0.0, 1.0)
 
 
 def stieltjes_cdf_integral(
     outer: ValueDistribution, inner: ValueDistribution, shift: float = 0.0
 ) -> float:
-    """Evaluate the expectation of ``inner.cdf(X - shift)`` for ``X ~ outer``.
-
-    Substituting ``u = outer.cdf(x)`` turns the measure integral into an
-    ordinary one over [0, 1]; the integrand is identically 0 (resp. 1) outside
-    the band where ``x - shift`` crosses the inner support, so only the middle
-    band needs quadrature.
-    """
-    u_lo = min(max(float(outer.cdf(shift + inner.lower)), 0.0), 1.0)
-    u_hi = min(max(float(outer.cdf(shift + inner.upper)), 0.0), 1.0)
-    if u_hi < u_lo:
-        u_lo, u_hi = u_hi, u_lo
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        return np.asarray(inner.cdf(outer.quantile(u) - shift), dtype=float)
-
-    middle = _adaptive_gl(integrand, u_lo, u_hi, _QUAD_TOL)
-    return min(max(middle + (1.0 - u_hi), 0.0), 1.0)
+    """Evaluate the expectation of ``inner.cdf(X - shift)`` for ``X ~ outer``."""
+    return float(_shifted_cdf_mean(outer, inner, np.array([float(shift)]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +252,14 @@ def _require_common_support(f_a: ValueDistribution, f_b: ValueDistribution) -> N
         raise ValueError("acceptor value distributions must share a common support")
 
 
+def _acceptance(f1a: ValueDistribution, f1b: ValueDistribution, ts: np.ndarray) -> np.ndarray:
+    _require_common_support(f1a, f1b)
+    if isinstance(f1a, PointMass):
+        # The common support makes f1b the same point mass: v + t >= v.
+        return (ts >= 0.0).astype(float)
+    return 1.0 - _shifted_cdf_mean(f1a, f1b, ts)
+
+
 def acceptance_probability(
     f1a: ValueDistribution, f1b: ValueDistribution, t: float
 ) -> float:
@@ -228,13 +267,23 @@ def acceptance_probability(
 
     They accept when ``v1(B) + t >= v1(A)``; with ``v1(A) ~ f1a`` and
     ``v1(B) ~ f1b`` independent, this equals one minus the expectation of
-    ``f1b(v1(A) - t)``.  Nondecreasing in ``t`` and pinned to 0/1 once ``t``
-    leaves the support-width band.
+    ``f1b(v1(A) - t)``.  Nondecreasing in ``t`` up to rounding, and pinned to
+    0/1 once ``t`` leaves the support-width band.
     """
-    if not np.isfinite(t):
-        raise ValueError("offer must be finite")
-    _require_common_support(f1a, f1b)
-    return 1.0 - stieltjes_cdf_integral(f1a, f1b, shift=t)
+    _require_finite("offer", t)
+    return float(_acceptance(f1a, f1b, np.array([float(t)]))[0])
+
+
+def acceptance_curve(
+    f1a: ValueDistribution, f1b: ValueDistribution, ts: np.ndarray
+) -> np.ndarray:
+    """Acceptance probabilities over a 1-d array of offers, each equal to
+    :func:`acceptance_probability` at that offer bit for bit."""
+    return _acceptance(f1a, f1b, np.asarray(ts, dtype=float))
+
+
+def _payoff(v2a, v2b, t, accept):
+    return (v2a - t) * accept + v2b * (1.0 - accept)
 
 
 def seller_expected_payoff(
@@ -242,8 +291,7 @@ def seller_expected_payoff(
 ) -> float:
     """Expected payoff of offering ``t`` while holding B: get A and pay on
     acceptance, keep B otherwise."""
-    accept = acceptance_probability(f1a, f1b, t)
-    return (v2a - t) * accept + v2b * (1.0 - accept)
+    return _payoff(v2a, v2b, t, acceptance_probability(f1a, f1b, t))
 
 
 # ---------------------------------------------------------------------------
@@ -256,50 +304,6 @@ class OptimalOffer:
     t_star: float
     expected_payoff: float
     acceptance: float
-
-
-@lru_cache(maxsize=4)
-def _composite_gl_nodes(panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = _gl_nodes(order)
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * np.diff(edges)
-    nodes = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
-    weights = (halves[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
-def acceptance_curve(
-    f1a: ValueDistribution, f1b: ValueDistribution, ts: np.ndarray
-) -> np.ndarray:
-    """Vectorized acceptance probabilities over an array of offers.
-
-    Uses one shared composite quadrature grid for every offer; accuracy is a
-    few 1e-7, well below Monte-Carlo resolution.  Distributions without a
-    continuous quantile fall back to the pointwise adaptive rule.
-
-    The inner cdf is evaluated ``_CDF_ROWS`` offers at a time, so its
-    temporaries stay in cache, into one buffer of ``chunk`` offers that is
-    then contracted with the weights.  The ``chunk``-row products are kept as
-    they are: BLAS ``dgemv`` can round a row differently when its position
-    within the call changes, so another chunking would change the last bits.
-    """
-    ts = np.asarray(ts, dtype=float)
-    if f1a.width <= 0 or f1b.width <= 0:
-        return np.array([acceptance_probability(f1a, f1b, float(t)) for t in ts])
-    _require_common_support(f1a, f1b)
-    nodes, weights = _composite_gl_nodes(1024, 4)
-    x = np.asarray(f1a.quantile(nodes), dtype=float)
-    out = np.empty(ts.size)
-    chunk = max(1, 4_000_000 // x.size)
-    inner = np.empty((min(chunk, ts.size), x.size))
-    for start in range(0, ts.size, chunk):
-        stop = min(start + chunk, ts.size)
-        for lo in range(start, stop, _CDF_ROWS):
-            hi = min(lo + _CDF_ROWS, stop)
-            inner[lo - start : hi - start] = f1b.cdf(x[None, :] - ts[lo:hi, None])
-        out[start:stop] = inner[: stop - start] @ weights
-    return (1.0 - out).clip(0.0, 1.0)
 
 
 @lru_cache(maxsize=16)
@@ -336,9 +340,8 @@ def optimal_offer(
     _require_finite("values", v2a, v2b)
     if v2a < v2b or (v2a == v2b and not allow_equal_values):
         raise PreconditionError("no trade motive: the held item is already preferred")
-    _require_common_support(f1a, f1b)
     ts, accept = _offer_grid(f1a, f1b, _OFFER_GRID_POINTS)
-    payoff = (v2a - ts) * accept + v2b * (1.0 - accept)
+    payoff = _payoff(v2a, v2b, ts, accept)
     best_idx = int(np.argmax(payoff))
 
     def objective(t: float) -> float:
@@ -359,15 +362,15 @@ def optimal_offer(
             d = a + _INVPHI * (b - a)
             fd = objective(d)
 
-    grid_t = float(ts[best_idx])
+    # The grid holds the pointwise rule's values, so only the refined offer needs a call.
     refined = 0.5 * (a + b)
-    candidates = [(grid_t, objective(grid_t)), (refined, objective(refined))]
-    best_t, best_val = min(candidates, key=lambda tv: (-tv[1], tv[0]))
-    return OptimalOffer(
-        t_star=best_t,
-        expected_payoff=best_val,
-        acceptance=acceptance_probability(f1a, f1b, best_t),
-    )
+    refined_accept = acceptance_probability(f1a, f1b, refined)
+    candidates = [
+        (float(ts[best_idx]), float(payoff[best_idx]), float(accept[best_idx])),
+        (refined, _payoff(v2a, v2b, refined, refined_accept), refined_accept),
+    ]
+    best_t, best_val, best_accept = min(candidates, key=lambda cand: (-cand[1], cand[0]))
+    return OptimalOffer(t_star=best_t, expected_payoff=best_val, acceptance=best_accept)
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +412,16 @@ def _offer_envelope(
 
     Per grid offer the objective is ``accept[i] * g - accept[i] * ts[i]``, a
     line in the gain ``g``; the argmax over the grid is the upper envelope of
-    those lines.  Acceptance is nondecreasing in ``t``, so slopes arrive
-    sorted and the envelope builds in one stack pass.  Returns the offers on
-    the envelope and the cut points between them (``cuts[k]`` is the gain
-    where offer ``k + 1`` overtakes offer ``k``), read-only and computed once
-    per distribution pair per process.
+    those lines.  The slopes are the running maximum of the acceptance, which
+    can dip by an ulp where it saturates (an offer that dips stays dominated by
+    a cheaper one), so they arrive sorted and the envelope builds in one stack
+    pass.  Returns the offers on the envelope and the cut points between them
+    (``cuts[k]`` is the gain where offer ``k + 1`` overtakes offer ``k``),
+    read-only and computed once per distribution pair per process.
     """
     ts, accept = _offer_grid(outer, inner, _ENVELOPE_GRID_POINTS)
-    slopes = accept
-    intercepts = -accept * ts
+    slopes = np.maximum.accumulate(accept)
+    intercepts = -slopes * ts
 
     stack: list[int] = []  # line indices on the envelope, slopes increasing
     cuts: list[float] = []  # cuts[k]: gain where stack[k+1] overtakes stack[k]
@@ -427,12 +431,7 @@ def _offer_envelope(
 
     for i in range(ts.size):
         if stack and slopes[stack[-1]] == slopes[i]:
-            # Same acceptance: the earlier (cheaper) offer dominates.
-            if intercepts[stack[-1]] >= intercepts[i]:
-                continue
-            stack.pop()
-            if cuts:
-                cuts.pop()
+            continue  # same slope: the earlier (cheaper) offer dominates
         while len(stack) >= 2 and crossing(stack[-1], i) <= cuts[-1]:
             stack.pop()
             cuts.pop()

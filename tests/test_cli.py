@@ -164,6 +164,25 @@ class TestDispatch:
         assert 0.0 <= payload["t_star"] <= 1.0
         assert payload["no_offer_probability"] == pytest.approx(0.5, abs=1e-9)
 
+    def test_two_agent_solve_upper_tail_truncnorm(self, capsys):
+        code, payload = run_json(
+            capsys,
+            ["two-agent", "solve", "--dist", "truncnorm:10,11,0,1",
+             "--v2a", "10.9", "--v2b", "10.1"],
+        )
+        assert code == 0
+        keys = ("t_star", "expected_payoff", "acceptance_probability", "no_offer_probability")
+        assert all(np.isfinite(payload[k]) for k in keys)
+
+    def test_truncnorm_without_mass_is_exit_3(self, capsys):
+        code = dispatch(
+            ["two-agent", "solve", "--dist", "truncnorm:40,41,0,1",
+             "--v2a", "40.9", "--v2b", "40.1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
     def test_first_mover(self, capsys):
         code, payload = run_json(
             capsys,

@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsd_market import two_agent
 from rsd_market.errors import PreconditionError
@@ -67,6 +69,23 @@ class TestDistributions:
         with pytest.raises(ValueError, match="finite"):
             cls(*params)
 
+    def test_upper_tail_interval_keeps_its_cdf(self):
+        # Both bounds lie beyond where ndtr rounds to 1; measured from the
+        # upper tail, the cdf still spans [0, 1] and inverts the quantile.
+        tn = TruncatedNormal(10.0, 11.0, mu=0.0, sigma=1.0)
+        xs = np.linspace(10.0, 11.0, 1001)
+        cdf = tn.cdf(xs)
+        assert cdf[0] == 0.0 and cdf[-1] == 1.0
+        assert np.all(np.diff(cdf) > 0)
+        us = np.linspace(0.01, 0.99, 25)
+        assert np.allclose(tn.cdf(tn.quantile(us)), us, atol=1e-12)
+        offer = optimal_offer(10.9, 10.1, tn, tn)
+        assert all(np.isfinite([offer.t_star, offer.expected_payoff, offer.acceptance]))
+
+    def test_interval_without_normal_mass_rejected(self):
+        with pytest.raises(ValueError, match="no probability mass"):
+            TruncatedNormal(40.0, 41.0, mu=0.0, sigma=1.0)
+
     def test_parse_specs(self):
         assert parse_distribution("uniform:0,1") == UNIT
         assert parse_distribution("truncnorm:0,1,0.5,0.2") == TruncatedNormal(0, 1, 0.5, 0.2)
@@ -121,8 +140,16 @@ class TestAcceptanceProbability:
         tn = TruncatedNormal(0.0, 1.0, mu=0.5, sigma=0.35)
         ts = np.linspace(-1, 1, 37)
         curve = acceptance_curve(UNIT, tn, ts)
-        scalar = [acceptance_probability(UNIT, tn, float(t)) for t in ts]
-        assert np.allclose(curve, scalar, atol=1e-6)
+        scalar = np.array([acceptance_probability(UNIT, tn, float(t)) for t in ts])
+        assert curve.tobytes() == scalar.tobytes()
+
+    def test_equal_point_masses_accept_a_free_swap(self):
+        # As in the rollout, the swap is taken when v + t >= v, so at t = 0 too.
+        pm = PointMass(0.5)
+        assert acceptance_probability(pm, pm, 0.0) == 1.0
+        assert acceptance_probability(pm, pm, -1e-9) == 0.0
+        curve = acceptance_curve(pm, pm, np.array([-0.1, 0.0, 0.2]))
+        assert curve.tolist() == [0.0, 1.0, 1.0]
 
 
 class TestSellerExpectedPayoff:
@@ -228,6 +255,27 @@ class TestFirstMover:
         assert result.eu_choose_b > 0.7
         assert result.best_choice == "B"
 
+    def test_tied_point_mass_opponent_never_offers(self):
+        # Equal values give a zero gain, which makes no offer: each pick keeps
+        # its own value, so A (0.7) is the better pick.
+        tied = PointMass(0.5)
+        result = first_mover_expected_utility(0.7, 0.4, tied, tied, UNIT, UNIT, 1000, seed=1)
+        assert (result.eu_choose_a, result.eu_choose_b, result.best_choice) == (0.7, 0.4, "A")
+
+    @pytest.mark.parametrize("low, high", [(0.5, 0.5), (0.25, 0.75), (0.75, 0.25)])
+    @pytest.mark.parametrize("v1a, v1b", [(0.75, 0.25), (0.25, 0.75), (0.5, 0.5)])
+    def test_decomposition_equals_rollout_on_point_mass_opponents(self, low, high, v1a, v1b):
+        # Dyadic values and offers (the envelope grid is k / 8192 on [0, 1])
+        # keep every sum exact, so the two must agree to the last bit.
+        result = first_mover_expected_utility(
+            v1a, v1b, PointMass(low), PointMass(high), UNIT, UNIT, 1000, seed=9
+        )
+        for choice, eu in (("A", result.eu_choose_a), ("B", result.eu_choose_b)):
+            sim, _ = simulate_first_mover_game(
+                v1a, v1b, PointMass(low), PointMass(high), UNIT, UNIT, choice, 1000, seed=10
+            )
+            assert eu == sim
+
     def test_symmetric_values_tie(self):
         result = first_mover_expected_utility(
             0.5, 0.5, UNIT, UNIT, UNIT, UNIT, 60_000, seed=23
@@ -272,6 +320,20 @@ class TestStieltjes:
     def test_uniform_pair_at_zero_shift(self):
         assert stieltjes_cdf_integral(UNIT, UNIT, 0.0) == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("outer, inner, shift, expected", [
+        (0.5, 0.5, 0.0, 1.0),  # P(X - 0 >= 0.5): the tie counts
+        (0.5, 0.5, 1e-9, 0.0),
+        (0.2, 0.8, 0.0, 0.0),
+        (0.8, 0.2, 0.0, 1.0),
+    ])
+    def test_point_mass_pair_closed_form(self, outer, inner, shift, expected):
+        assert stieltjes_cdf_integral(PointMass(outer), PointMass(inner), shift) == expected
+
+    def test_point_mass_inner_closed_form(self):
+        tn = TruncatedNormal(0.0, 1.0, 0.6, 0.2)
+        for w in (0.0, 0.3, 0.6, 1.0):
+            assert stieltjes_cdf_integral(tn, PointMass(w), 0.0) == 1.0 - float(tn.cdf(w))
+
 
 def _digest(*values):
     h = hashlib.sha256()
@@ -280,29 +342,103 @@ def _digest(*values):
     return h.hexdigest()
 
 
+_GL_REFERENCE_NODES = {n: np.polynomial.legendre.leggauss(n) for n in (48, 96)}
+
+
+def _gl_panel(f, a, b, n):
+    x, w = _GL_REFERENCE_NODES[n]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return float(half * (w * f(mid + half * x)).sum())
+
+
+def _adaptive_gl(f, a, b, tol, depth=0):
+    if b - a <= 0:
+        return 0.0
+    coarse = _gl_panel(f, a, b, 48)
+    fine = _gl_panel(f, a, b, 96)
+    if abs(fine - coarse) <= tol or depth >= 12:
+        return fine
+    mid = 0.5 * (a + b)
+    return _adaptive_gl(f, a, mid, tol / 2, depth + 1) + _adaptive_gl(
+        f, mid, b, tol / 2, depth + 1
+    )
+
+
+def _stieltjes_reference(outer, inner, shift):
+    """The scalar recursive banded rule, one offer per call: what the
+    vectorized rule must equal byte for byte on continuous distributions."""
+    u_lo = min(max(float(outer.cdf(shift + inner.lower)), 0.0), 1.0)
+    u_hi = min(max(float(outer.cdf(shift + inner.upper)), 0.0), 1.0)
+    if u_hi < u_lo:
+        u_lo, u_hi = u_hi, u_lo
+
+    def integrand(u):
+        return np.asarray(inner.cdf(outer.quantile(u) - shift), dtype=float)
+
+    middle = _adaptive_gl(integrand, u_lo, u_hi, 1e-9)
+    return min(max(middle + (1.0 - u_hi), 0.0), 1.0)
+
+
 def _acceptance_curve_reference(f1a, f1b, ts):
-    """The whole-chunk evaluation ``acceptance_curve`` must equal byte for byte."""
-    nodes, weights = two_agent._composite_gl_nodes(1024, 4)
-    x = np.asarray(f1a.quantile(nodes), dtype=float)
-    out = np.empty(ts.size)
-    chunk = max(1, 4_000_000 // x.size)
-    for start in range(0, ts.size, chunk):
-        block = ts[start : start + chunk]
-        inner = np.asarray(f1b.cdf(x[None, :] - block[:, None]), dtype=float)
-        out[start : start + chunk] = inner @ weights
-    return np.clip(1.0 - out, 0.0, 1.0)
+    return np.array([1.0 - _stieltjes_reference(f1a, f1b, float(t)) for t in ts])
 
 
 FAMILIES = {
     "uniform": Uniform(0.0, 1.0),
     "truncnorm": TruncatedNormal(0.0, 1.0, 0.6, 0.2),
     "wide-truncnorm": TruncatedNormal(0.0, 2.0, 1.4, 0.6),
+    # Narrow enough that the rule halves some bands down to the depth limit.
+    "narrow-truncnorm": TruncatedNormal(0.0, 1.0, 0.5, 0.02),
 }
+
+# (f1a, f1b) pairs for the curve checks: each family with itself, and two
+# mixed pairs.
+CURVE_PAIRS = [(d, d) for d in FAMILIES.values()] + [
+    (FAMILIES["truncnorm"], FAMILIES["uniform"]),
+    (FAMILIES["narrow-truncnorm"], FAMILIES["uniform"]),
+]
+
+
+@st.composite
+def support_pairs(draw):
+    """Two distributions on one random support: uniforms and truncated
+    normals from narrow to wide, with the mean inside, below or above it."""
+    lower = draw(st.floats(-5.0, 5.0))
+    width = draw(st.floats(0.1, 4.0))
+
+    def one():
+        if draw(st.booleans()):
+            return Uniform(lower, lower + width)
+        sigma = width * 10.0 ** draw(st.floats(-2.0, 0.5))
+        # A mean at most 20 sigma outside the support, which keeps its mass.
+        offset = draw(st.floats(-1.0, 1.0)) * (0.5 * width + 20.0 * sigma)
+        return TruncatedNormal(lower, lower + width, lower + 0.5 * width + offset, sigma)
+
+    return one(), one()
+
+
+class TestBandedRule:
+    """The vectorized banded rule against the scalar reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(support_pairs(), st.lists(st.floats(-1.2, 1.2), min_size=1, max_size=6))
+    def test_matches_reference_and_is_a_probability(self, pair, fractions):
+        outer, inner = pair
+        shifts = np.sort(np.concatenate([
+            np.linspace(-1.1, 1.1, 9), np.asarray(fractions)
+        ])) * outer.width
+        got = two_agent._shifted_cdf_mean(outer, inner, shifts)
+        ref = np.array([_stieltjes_reference(outer, inner, float(s)) for s in shifts])
+        assert got.tobytes() == ref.tobytes()
+        assert np.all((got >= 0.0) & (got <= 1.0))
+        # Nonincreasing in the shift, up to an ulp or two of rounding.
+        assert np.all(np.diff(got) <= 4 * np.finfo(float).eps)
 
 
 class TestSharedCurves:
     """Curves and offer envelopes are computed once per distribution pair and
-    shared; the outputs are pinned to the bytes of the per-call rebuild."""
+    shared; the outputs are pinned, and each curve equals the pointwise rule
+    byte for byte."""
 
     @pytest.mark.parametrize(
         "family, digest",
@@ -323,8 +459,8 @@ class TestSharedCurves:
     @pytest.mark.parametrize(
         "family, digest",
         [
-            ("uniform", "4417bf95083f58174ab9df41453603987979b94fc838b84f484bdb8b67d01d7e"),
-            ("truncnorm", "975ec4f74a27ef75b35c75d1859144a3ef6ed4cb3cde5ba17daa9bd0241ebb92"),
+            ("uniform", "7ed5fa9f11978cf86c09bacad1d481d966107a2854f5d0bcc2986fa6a92ec68d"),
+            ("truncnorm", "27078485e0aac75d1be00041b97a6f9c82e314de5e6b61541b55210f77511e3c"),
         ],
     )
     def test_offer_distribution_digest_is_pinned(self, family, digest):
@@ -338,8 +474,8 @@ class TestSharedCurves:
     @pytest.mark.parametrize(
         "family, digest",
         [
-            ("uniform", "e282df6f141a70f7fdf621656be092671d545a75ac5f6391b1f1a66f10a6c236"),
-            ("truncnorm", "7e23abeec793232382e50df2869f8710ab4ffcdff35bad5bc66fef1424f2f71b"),
+            ("uniform", "d211ca395eebbefc34ab93d38e475436b062366f536c4438ccf5843a7f891ad6"),
+            ("truncnorm", "943b8f899651f6ebec0c134fbd90cae134647174c7b145bcc5ec1d25aa9fc250"),
         ],
     )
     def test_first_mover_and_rollout_digest_is_pinned(self, family, digest):
@@ -353,16 +489,16 @@ class TestSharedCurves:
             )
         assert _digest(*rows) == digest
 
-    @pytest.mark.parametrize("n", [1, 15, 976, 977, 1953])
-    def test_curve_matches_whole_chunk_evaluation(self, n):
-        # Offer counts around the 976-offer chunk, on both families and a mixed pair.
-        uniform, truncnorm = FAMILIES["uniform"], FAMILIES["truncnorm"]
-        ts = np.linspace(-0.3, 1.1, n)
-        for f1a, f1b in ((uniform, uniform), (truncnorm, truncnorm), (truncnorm, uniform)):
+    @pytest.mark.parametrize("n", [1, 15, 511, 512, 513, 976, 977, 1953, 2001, 8193])
+    def test_curve_matches_pointwise_reference(self, n):
+        # Offer counts around the 512-offer block and the lengths of the two
+        # cached grids; the offers run past both ends of the support band.
+        for f1a, f1b in CURVE_PAIRS:
+            ts = np.linspace(-0.3, 1.1 * f1a.width, n)
             got = acceptance_curve(f1a, f1b, ts)
             assert got.tobytes() == _acceptance_curve_reference(f1a, f1b, ts).tobytes()
 
-    def test_cached_grids_match_whole_chunk_evaluation(self):
+    def test_cached_grids_match_pointwise_reference(self):
         for d in FAMILIES.values():
             for n in (two_agent._OFFER_GRID_POINTS, two_agent._ENVELOPE_GRID_POINTS):
                 ts, accept = two_agent._offer_grid(d, d, n)
@@ -405,7 +541,7 @@ class TestSharedCurves:
         assert len(calls) == 2
         assert two_agent._offer_envelope.cache_info().misses == 1
 
-    @pytest.mark.parametrize("family", ["uniform", "truncnorm", "wide-truncnorm"])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_envelope_attains_the_grid_maximum(self, family):
         d = FAMILIES[family]
         ts, accept = two_agent._offer_grid(d, d, two_agent._ENVELOPE_GRID_POINTS)
