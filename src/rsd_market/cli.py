@@ -421,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
         "equilibrium prices, bargaining analysis, and market simulation.",
     )
     parser.add_argument("--config", help="JSON or key=value file with defaults for the subcommand")
-    parser.add_argument("--verbose", action="store_true", help="chatty diagnostics on stderr")
     sub = parser.add_subparsers(dest="group", required=True)
 
     def instance_flags(p: argparse.ArgumentParser) -> None:

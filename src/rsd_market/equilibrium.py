@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InternalInvariantError, PreconditionError
-from .market import Allocation, DenseValuations, MarketInstance, validate_order
+from .market import Allocation, MarketInstance, replay_trade_log, validate_order
 
 _ATOL = 1e-9
 
@@ -59,18 +59,6 @@ class TradeSurplus:
 # ---------------------------------------------------------------------------
 # Welfare-maximizing assignment
 # ---------------------------------------------------------------------------
-
-
-def _submatrix(instance: MarketInstance, items: Sequence[int] | None = None) -> np.ndarray:
-    """Every agent's values for ``items`` (default: all items), one row per agent.
-
-    Dense valuations are sliced from the stored matrix; other backends are
-    read one row per agent.
-    """
-    cols = slice(None) if items is None else np.asarray(items, dtype=np.int64)
-    if isinstance(instance.valuations, DenseValuations):
-        return instance.valuations.matrix[:, cols]
-    return np.vstack([instance.row(j)[cols] for j in range(instance.n_agents)])
 
 
 def _tight_edges(values: np.ndarray, match: np.ndarray) -> np.ndarray:
@@ -137,7 +125,7 @@ def max_welfare_allocation(
         raise ValueError("cannot assign more items than agents")
 
     values = np.zeros((m, m))
-    values[:, :k] = _submatrix(instance, items)
+    values[:, :k] = instance.dense_matrix(items)
     _, match = linear_sum_assignment(values, maximize=True)
     tight = _tight_edges(values, match)
 
@@ -229,7 +217,7 @@ def brute_force_optimal(
     items = sorted(set(int(i) for i in item_subset))
     if len(items) > m:
         raise ValueError("cannot assign more items than agents")
-    values = _submatrix(instance, items)
+    values = instance.dense_matrix(items)
     k = len(items)
     cols = np.arange(k)[None, :]
     null_mark = instance.n_items  # sorts after every real item id
@@ -303,7 +291,7 @@ def ce_prices(
     items = held[assigned]
     in_market = np.zeros(instance.n_items, dtype=bool)
     in_market[items] = True
-    values = _submatrix(instance)
+    values = instance.dense_matrix()
     rows = values[assigned]
     own = rows[np.arange(assigned.size), items]
     prices = np.zeros(instance.n_items)
@@ -384,7 +372,7 @@ def verify_ce(
         return False
     if allocation.n_agents != instance.n_agents:
         return False
-    surplus = _submatrix(instance) - p
+    surplus = instance.dense_matrix() - p
     best = surplus.max(axis=1) if instance.n_items else np.zeros(instance.n_agents)
     items = allocation.to_array()
     holders = np.flatnonzero(items >= 0)
@@ -420,12 +408,10 @@ def trade_feasible(
     item_k = allocation.assignment[k]
     if item_j is None or item_k is None:
         raise ValueError("both agents must hold an item")
-    surplus = (
-        instance.value(j, item_k)
-        + instance.value(k, item_j)
-        - instance.value(j, item_j)
-        - instance.value(k, item_k)
-    )
+    j_gets, k_gets, j_has, k_has = instance.cells(
+        [j, k, j, k], [item_k, item_j, item_j, item_k]
+    ).tolist()
+    surplus = j_gets + k_gets - j_has - k_has
     return surplus > 0, TradeSurplus(surplus)
 
 
@@ -453,9 +439,8 @@ def interim_feasibility_check(instance: MarketInstance, order: Sequence[int]) ->
 
     # Undoing the trade log recovers each agent's own pick; trades are logged
     # one per turn in pick order, so prefix states can be replayed exactly.
-    from .market import replay_trade_log
-
     picks, _ = replay_trade_log(outcome)
+    values = instance.dense_matrix()
     held: dict[int, int] = {}
     trades = {rec.proposer: rec for rec in outcome.trade_log}
     for turn, j in enumerate(order_t):
@@ -468,10 +453,10 @@ def interim_feasibility_check(instance: MarketInstance, order: Sequence[int]) ->
             held[j] = rec.item_acquired
             held[rec.counterparty] = rec.item_given
         prefix = list(order_t[: turn + 1])
-        rows = np.vstack([instance.row(a) for a in prefix])
+        rows = values[prefix]
         rr, cc = linear_sum_assignment(rows, maximize=True)
         target = float(rows[rr, cc].sum())
-        achieved = float(sum(instance.value(a, held[a]) for a in prefix))
+        achieved = float(sum(values[prefix, [held[a] for a in prefix]].tolist()))
         if achieved < target - _ATOL:
             return False
     return True

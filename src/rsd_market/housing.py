@@ -154,22 +154,12 @@ def replication_order(config: SimConfig, seed: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _own_values(market: MarketInstance, assignment: np.ndarray) -> np.ndarray:
-    """Each agent's value for the room they hold (0 for none); -1 marks none."""
-    values = np.zeros(assignment.size)
-    mask = assignment >= 0
-    agents = np.nonzero(mask)[0]
-    if agents.size:
-        values[mask] = market.valuations.values(agents, assignment[mask])
-    return values
-
-
 def public_valuations(market: MarketInstance, assignment: np.ndarray) -> np.ndarray:
     """Resale estimate per room: the value its holder under ``assignment``
     (the truthful-pick baseline) places on it; 0 for unheld rooms."""
     v_pub = np.zeros(market.n_items)
     held = assignment >= 0
-    v_pub[assignment[held]] = _own_values(market, assignment)[held]
+    v_pub[assignment[held]] = market.held_values(assignment)[held]
     return v_pub
 
 
@@ -314,11 +304,11 @@ def run_housing_sim(config: SimConfig, seed: int) -> SimReport:
     transfers = np.asarray(transfers_t)
     fees = Outcome(final_alloc, transfers_t, log).seller_costs()
 
-    welfare_baseline = inst.market.budgets + _own_values(market, baseline)
-    welfare_endowment = inst.market.budgets + _own_values(market, endowment)
+    welfare_baseline = inst.market.budgets + market.held_values(baseline)
+    welfare_endowment = inst.market.budgets + market.held_values(endowment)
     final_assignment = final_alloc.to_array()
     welfare_treatment = (
-        inst.market.budgets + transfers - fees + _own_values(market, final_assignment)
+        inst.market.budgets + transfers - fees + market.held_values(final_assignment)
     )
     delta = welfare_treatment - welfare_baseline
     counts, edges = np.histogram(delta, bins=DELTA_HISTOGRAM_BINS)
@@ -369,10 +359,6 @@ class BatchReport:
     @property
     def median_gain(self) -> float:
         return float(np.median(self.gains))
-
-    @property
-    def trade_counts(self) -> np.ndarray:
-        return np.array([r.trade_count for r in self.reports])
 
     @property
     def pooled_delta(self) -> np.ndarray:
@@ -476,18 +462,15 @@ def tax_incidence_check(
     i_keep, i_give, i_get = items
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    base = (
-        instance.value(j, i_get)
-        + instance.value(j_other, i_give)
-        - instance.value(j_other, i_get)
-        - tau
-        > instance.value(j, i_keep)
-    )
+    get, keep, other_give, other_get = instance.cells(
+        [j, j, j_other, j_other], [i_get, i_keep, i_give, i_get]
+    ).tolist()
+    base = get + other_give - other_get - tau > keep
     for c in splits:
         if not 0 <= c <= tau + 1e-12:
             raise ValueError("each split must lie within [0, tau]")
-        min_payment = instance.value(j_other, i_get) + (tau - c) - instance.value(j_other, i_give)
-        decision = instance.value(j, i_get) - c - min_payment > instance.value(j, i_keep)
+        min_payment = other_get + (tau - c) - other_give
+        decision = get - c - min_payment > keep
         if decision != base:
             return False
     return True
@@ -522,10 +505,9 @@ def small_tau_bound(
     _, _, log = pairwise_aftermarket(instance, allocation, order_t, pol, NO_COST)
     if not log:
         return SmallTauBound(gamma_star=float("inf"), has_feasible_trade=False)
-    margins = [
-        instance.value(rec.proposer, rec.item_acquired)
-        - instance.value(rec.proposer, rec.item_given)
-        - rec.price
-        for rec in log
-    ]
-    return SmallTauBound(gamma_star=float(min(margins)), has_feasible_trade=True)
+    proposers = [rec.proposer for rec in log]
+    acquired, given = instance.cells(
+        proposers * 2, [rec.item_acquired for rec in log] + [rec.item_given for rec in log]
+    ).reshape(2, -1)
+    margins = acquired - given - np.array([rec.price for rec in log])
+    return SmallTauBound(gamma_star=float(min(margins.tolist())), has_feasible_trade=True)

@@ -7,7 +7,6 @@ after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,8 +17,8 @@ from scipy.special import ndtri
 
 SCHEMA_VERSION = 1
 
-# Upper bound on entries we are willing to materialize as a dense matrix when
-# serializing a generated valuation field.
+# Upper bound on entries we are willing to serialize from a generated
+# valuation field.
 _DENSIFY_LIMIT = 4_000_000
 
 
@@ -200,6 +199,8 @@ class MarketInstance:
         return self.valuations.n_items
 
     def value(self, agent: int, item: int | None) -> float:
+        """One cell.  On a hashed field this builds the agent's whole row, so
+        read many cells with ``cells`` or ``held_values``."""
         if not 0 <= agent < self.n_agents:
             raise ValueError(f"agent {agent} out of range")
         if item is None:
@@ -207,6 +208,31 @@ class MarketInstance:
         if not 0 <= item < self.n_items:
             raise ValueError(f"item {item} out of range")
         return float(self.valuations.row(agent)[item])
+
+    def cells(self, agents: Sequence[int], items: Sequence[int]) -> np.ndarray:
+        """Cells ``(agents[k], items[k])``, read in one backend call.
+
+        Ids are range-checked as in ``value``: a negative id never wraps, and
+        a hashed field never hashes an id outside it.
+        """
+        a = np.asarray(agents, dtype=np.int64)
+        i = np.asarray(items, dtype=np.int64)
+        if np.any((a < 0) | (a >= self.n_agents)):
+            raise ValueError("agent id out of range")
+        if np.any((i < 0) | (i >= self.n_items)):
+            raise ValueError("item id out of range")
+        return self.valuations.values(a, i)
+
+    def held_values(self, assignment: np.ndarray) -> np.ndarray:
+        """Each agent's value for the item it holds under ``assignment``, an
+        item id per agent with -1 for none (worth 0)."""
+        a = np.asarray(assignment, dtype=np.int64)
+        if a.shape != (self.n_agents,):
+            raise ValueError("assignment must hold one item id per agent")
+        values = np.zeros(self.n_agents)
+        holders = np.flatnonzero(a != -1)
+        values[holders] = self.cells(holders, a[holders])
+        return values
 
     def row(self, agent: int) -> np.ndarray:
         """All item values for one agent.  Treat the result as read-only."""
@@ -226,15 +252,22 @@ class MarketInstance:
         b.setflags(write=False)
         return cls(valuations=backend, budgets=b)
 
-    def dense_matrix(self) -> np.ndarray:
+    def dense_matrix(self, items: Sequence[int] | None = None) -> np.ndarray:
+        """Every agent's values for ``items`` (default: all items), one row per
+        agent.  A dense backend is sliced from the stored matrix; any other is
+        read one row per agent.  Treat the result as read-only."""
+        cols = slice(None) if items is None else np.asarray(items, dtype=np.int64)
         if isinstance(self.valuations, DenseValuations):
-            return self.valuations.matrix
-        if self.n_agents * self.n_items > _DENSIFY_LIMIT:
-            raise ValueError("valuation field too large to materialize densely")
-        return np.vstack([self.valuations.row(j) for j in range(self.n_agents)])
+            return self.valuations.matrix[:, cols]
+        return np.vstack([self.valuations.row(j)[cols] for j in range(self.n_agents)])
 
 
 def instance_to_json(instance: MarketInstance) -> dict:
+    if (
+        not isinstance(instance.valuations, DenseValuations)
+        and instance.n_agents * instance.n_items > _DENSIFY_LIMIT
+    ):
+        raise ValueError("valuation field too large to serialize")
     return {
         "schema_version": SCHEMA_VERSION,
         "n_agents": instance.n_agents,
@@ -286,17 +319,6 @@ def save_instance(instance: MarketInstance, path: str | Path) -> None:
 
 def load_instance(path: str | Path) -> MarketInstance:
     return instance_from_json(json.loads(Path(path).read_text()))
-
-
-def instance_to_csv(instance: MarketInstance, path: str | Path) -> None:
-    """One row per (agent, item) pair, mirroring the JSON document."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["agent", "item", "value"])
-        for j in range(instance.n_agents):
-            row = instance.row(j)
-            for i in range(instance.n_items):
-                writer.writerow([j, i, repr(float(row[i]))])
 
 
 # ---------------------------------------------------------------------------
@@ -419,19 +441,19 @@ def utility(instance: MarketInstance, outcome: Outcome, agent: int) -> float:
     """Quasilinear payoff: item value plus cash endowment plus net transfer."""
     if not 0 <= agent < instance.n_agents:
         raise ValueError(f"agent {agent} out of range")
-    item = outcome.allocation.assignment[agent]
-    return instance.value(agent, item) + float(instance.budgets[agent]) + outcome.transfers[agent]
+    return float(utilities(instance, outcome)[agent])
 
 
 def utilities(instance: MarketInstance, outcome: Outcome) -> np.ndarray:
-    return np.array([utility(instance, outcome, j) for j in range(instance.n_agents)])
+    held = instance.held_values(outcome.allocation.to_array())
+    return held + instance.budgets + np.asarray(outcome.transfers, dtype=np.float64)
 
 
 def total_welfare(instance: MarketInstance, allocation: Allocation) -> float:
     """Sum of assigned item values; transfers cancel and never enter."""
-    return float(
-        sum(instance.value(j, item) for j, item in enumerate(allocation.assignment))
-    )
+    # Builtin ``sum`` adds in agent order; ``ndarray.sum`` sums pairwise and
+    # would change the last bits.
+    return float(sum(instance.held_values(allocation.to_array()).tolist()))
 
 
 def pareto_dominates(instance: MarketInstance, a: Outcome, b: Outcome) -> bool:

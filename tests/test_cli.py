@@ -93,6 +93,21 @@ class TestDispatch:
         assert payload["allocation"] == [1, 0]
         assert payload["total_welfare"] == 11.0
 
+    def test_single_pass_unfloored_downgrade(self, capsys, tmp_path):
+        # A seller who prefers the proposer's room pays the proposer 23 to
+        # swap; single-pass offers that trade once the floor is off.
+        path = tmp_path / "m.json"
+        save_instance(MarketInstance.from_matrix([[-4, -4], [21, -2]]), path)
+        code, payload = run_json(
+            capsys,
+            ["mech", "run", "--mechanism", "expost-pairwise", "--instance", str(path),
+             "--order", "0,1", "--lambda", "0", "--floor", "off", "--mode", "single-pass"],
+        )
+        assert code == 0
+        assert payload["allocation"] == [1, 0]
+        assert payload["transfers"] == [23.0, -23.0]
+        assert [(t["proposer"], t["price"]) for t in payload["trade_log"]] == [(0, -23.0)]
+
     def test_usage_error_is_exit_2(self, capsys):
         assert dispatch(["mech", "run", "--mechanism", "warp-drive"]) == 2
         assert dispatch(["definitely-not-a-command"]) == 2

@@ -16,7 +16,6 @@ from rsd_market.market import (
     TradeRecord,
     derive_seed,
     hashed_uniforms,
-    instance_to_csv,
     load_instance,
     pareto_dominates,
     replay_trade_log,
@@ -60,14 +59,6 @@ class TestInstance:
         assert np.array_equal(loaded.budgets, paired_market.budgets)
         payload = json.loads(path.read_text())
         assert payload["n_agents"] == 2 and payload["n_items"] == 2
-
-    def test_csv_export(self, paired_market, tmp_path):
-        path = tmp_path / "inst.csv"
-        instance_to_csv(paired_market, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "agent,item,value"
-        assert len(lines) == 1 + 4
-        assert lines[1].startswith("0,0,")
 
 
 class TestHashedValuations:

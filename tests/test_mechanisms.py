@@ -114,8 +114,9 @@ def interim_reference(instance, order, agent_model, policy):
 
 def aftermarket_reference(instance, endowment, order, policy, cost):
     """Reference for ``pairwise_aftermarket``: every visit rebuilds the
-    candidate mask from the owners and a per-agent ``bought`` flag, and reads
-    seller values with one item id per seller."""
+    candidate mask from the owners and a per-agent ``bought`` flag, offers
+    every held item (no preference filter, in either mode), and reads seller
+    values with one item id per seller."""
     m, n = instance.n_agents, instance.n_items
     assignment = endowment.to_array()
     owner = np.full(n, -1, dtype=np.int64)
@@ -138,7 +139,6 @@ def aftermarket_reference(instance, endowment, order, policy, cost):
         mask = (owner >= 0) & (owner != j)
         if single_pass:
             mask &= ~bought[np.clip(owner, 0, None)]
-            mask &= row > row[item_j]
         cand = np.nonzero(mask)[0]
         if cand.size == 0:
             return False
@@ -156,7 +156,7 @@ def aftermarket_reference(instance, endowment, order, policy, cost):
         if not np.isfinite(gain[pick]):
             return False
         item_k, k, p = int(cand[pick]), int(sellers[pick]), float(price[pick])
-        fee = float(np.asarray(cost.fee(p)))
+        fee = cost.fee(p)
         transfers[j] -= p
         transfers[k] += p
         fees[k] += fee
@@ -418,6 +418,16 @@ class TestTransactionCosts:
         with pytest.raises(ValueError):
             parse_cost("fixed")
 
+    def test_fee_is_a_python_float(self):
+        # An int amount must not change the logged cost's type.
+        for cost, fee in (
+            (TransactionCost("fixed", 2), 2.0),
+            (TransactionCost("proportional", 1), 3.0),
+            (NO_COST, 0.0),
+        ):
+            assert type(cost.fee(3.0)) is float and cost.fee(3.0) == fee
+        assert TransactionCost("proportional", 0.5).fee(-4.0) == 0.0
+
     def test_fee_gates_trades_by_surplus(self):
         sc = get_scenario("example-3.1")
         # Joint surplus is 8: a fee of 7.9 still trades, 8.1 does not.
@@ -598,6 +608,18 @@ class TestStrategicScenario:
 
 
 class TestAftermarketEngine:
+    @pytest.mark.parametrize("mode", ["fixed-point", "single-pass"])
+    def test_unfloored_seller_pays_to_swap_down(self, mode):
+        # Agent 0 is indifferent between the rooms; agent 1 values its own
+        # room at -2 and agent 0's at 21, so with no floor agent 0 is paid 23
+        # to swap.  Agent 0 proposes first and takes that trade in both modes.
+        inst = MarketInstance.from_matrix([[-4, -4], [21, -2]])
+        policy = TradePolicy(0.0, seller_reservation_floor=False, pairwise_mode=mode)
+        out = expost_pairwise_transfers(inst, (0, 1), policy)
+        assert out.allocation.assignment == (1, 0)
+        assert out.transfers == (23.0, -23.0)
+        assert out.trade_log == (TradeRecord(0, 0, 1, 1, 0, -23.0, 0.0),)
+
     def test_single_pass_buyer_exit(self):
         rng = np.random.default_rng(12)
         inst = MarketInstance.from_matrix(rng.normal(100, 30, (30, 30)))
