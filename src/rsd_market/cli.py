@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -65,21 +66,6 @@ def _allocation_json(allocation: market.Allocation) -> list[int | None]:
     return [None if i is None else int(i) for i in allocation.assignment]
 
 
-def _trade_log_json(log: tuple[market.TradeRecord, ...]) -> list[dict]:
-    return [
-        {
-            "step": rec.step,
-            "proposer": rec.proposer,
-            "counterparty": rec.counterparty,
-            "item_acquired": rec.item_acquired,
-            "item_given": rec.item_given,
-            "price": rec.price,
-            "cost": rec.cost,
-        }
-        for rec in log
-    ]
-
-
 # ---------------------------------------------------------------------------
 # mech run
 # ---------------------------------------------------------------------------
@@ -124,8 +110,6 @@ def _cmd_mech_run(args: argparse.Namespace) -> int:
     if problems:
         raise InternalInvariantError("; ".join(problems))
 
-    fees = outcome.seller_costs()
-    utilities = market.utilities(instance, outcome) - fees
     _emit(
         {
             "schema_version": SCHEMA_VERSION,
@@ -134,9 +118,9 @@ def _cmd_mech_run(args: argparse.Namespace) -> int:
             "seed": seed_used,
             "allocation": _allocation_json(outcome.allocation),
             "transfers": list(outcome.transfers),
-            "trade_log": _trade_log_json(outcome.trade_log),
-            "fees": [float(f) for f in fees],
-            "utilities": [float(u) for u in utilities],
+            "trade_log": [dataclasses.asdict(rec) for rec in outcome.trade_log],
+            "fees": [float(f) for f in outcome.seller_costs()],
+            "utilities": [float(u) for u in market.utilities(instance, outcome)],
             "total_welfare": market.total_welfare(instance, outcome.allocation),
         }
     )
@@ -427,6 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--instance", help="market instance JSON file")
         p.add_argument("--scenario", help=f"built-in scenario ({', '.join(scenarios.scenario_names())})")
 
+    def dist_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--dist", default="uniform:0,1",
+                       help="value distribution spec, e.g. uniform:0,1 or truncnorm:0,1,0.5,0.2")
+        for slot in ("1a", "1b", "2a", "2b"):
+            p.add_argument(f"--dist-{slot}", dest=f"dist_{slot}", help=f"override for slot {slot}")
+
     mech = sub.add_parser("mech", help="run an allocation mechanism").add_subparsers(
         dest="action", required=True
     )
@@ -470,10 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="action", required=True
     )
     solve2 = two.add_parser("solve", help="optimal offer for the second mover")
-    solve2.add_argument("--dist", default="uniform:0,1",
-                        help="value distribution spec, e.g. uniform:0,1 or truncnorm:0,1,0.5,0.2")
-    for slot in ("1a", "1b", "2a", "2b"):
-        solve2.add_argument(f"--dist-{slot}", dest=f"dist_{slot}", help=f"override for slot {slot}")
+    dist_flags(solve2)
     solve2.add_argument("--v2a", type=float, required=True)
     solve2.add_argument("--v2b", type=float, required=True)
     solve2.add_argument("--draws", type=int, default=0)
@@ -481,9 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve2.set_defaults(handler=_cmd_two_agent_solve)
 
     fm = two.add_parser("first-mover", help="expected utility of the first pick")
-    fm.add_argument("--dist", default="uniform:0,1")
-    for slot in ("1a", "1b", "2a", "2b"):
-        fm.add_argument(f"--dist-{slot}", dest=f"dist_{slot}", help=f"override for slot {slot}")
+    dist_flags(fm)
     fm.add_argument("--v1a", type=float, required=True)
     fm.add_argument("--v1b", type=float, required=True)
     fm.add_argument("--draws", type=int, default=100_000)

@@ -307,6 +307,7 @@ def run_housing_sim(config: SimConfig, seed: int) -> SimReport:
     welfare_baseline = inst.market.budgets + market.held_values(baseline)
     welfare_endowment = inst.market.budgets + market.held_values(endowment)
     final_assignment = final_alloc.to_array()
+    # Not ``market.utilities``: its order of additions would change the report's last bits.
     welfare_treatment = (
         inst.market.budgets + transfers - fees + market.held_values(final_assignment)
     )

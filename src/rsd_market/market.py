@@ -438,7 +438,7 @@ def zero_outcome(allocation: Allocation) -> Outcome:
 
 
 def utility(instance: MarketInstance, outcome: Outcome, agent: int) -> float:
-    """Quasilinear payoff: item value plus cash endowment plus net transfer."""
+    """Quasilinear payoff: item value plus cash plus net transfer, less sale fees."""
     if not 0 <= agent < instance.n_agents:
         raise ValueError(f"agent {agent} out of range")
     return float(utilities(instance, outcome)[agent])
@@ -446,7 +446,7 @@ def utility(instance: MarketInstance, outcome: Outcome, agent: int) -> float:
 
 def utilities(instance: MarketInstance, outcome: Outcome) -> np.ndarray:
     held = instance.held_values(outcome.allocation.to_array())
-    return held + instance.budgets + np.asarray(outcome.transfers, dtype=np.float64)
+    return held + instance.budgets + np.asarray(outcome.transfers, float) - outcome.seller_costs()
 
 
 def total_welfare(instance: MarketInstance, allocation: Allocation) -> float:

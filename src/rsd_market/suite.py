@@ -70,12 +70,12 @@ def trade_log_soundness(
     """Check per-trade mutual benefit and overall weak dominance over the
     pre-trade state, accounting for transaction fees on the seller side."""
     problems = market.validate_outcome(instance, outcome, atol=max(atol, 1e-9))
-    pre_allocation, _ = replay_trade_log(outcome)
-    state = list(pre_allocation.assignment)
+    try:
+        pre_allocation, _ = replay_trade_log(outcome)
+    except ValueError:
+        return problems  # ``validate_outcome`` names the inconsistent step
+    # A log that replays backwards hands each trade the items its parties hold.
     for rec in outcome.trade_log:
-        if state[rec.counterparty] != rec.item_acquired or state[rec.proposer] != rec.item_given:
-            problems.append(f"step {rec.step}: traded items not held by the parties")
-            break
         buyer_gain = (
             instance.value(rec.proposer, rec.item_acquired)
             - instance.value(rec.proposer, rec.item_given)
@@ -93,8 +93,6 @@ def trade_log_soundness(
             problems.append(f"step {rec.step}: buyer worse off by {buyer_gain!r}")
         if seller_gain < -atol:
             problems.append(f"step {rec.step}: seller worse off by {seller_gain!r}")
-        state[rec.proposer] = rec.item_acquired
-        state[rec.counterparty] = rec.item_given
     # Cash endowments enter both sides equally, so compare item value plus net
     # transfer: added to a large budget, a sub-ulp difference would round to
     # a spurious loss (or hide a real one).

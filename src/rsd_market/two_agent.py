@@ -30,8 +30,8 @@ from scipy.special import ndtr, ndtri
 from .errors import PreconditionError
 
 _QUAD_TOL = 1e-9
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _OFFER_GRID_POINTS = 2001
+_ZOOM_POINTS = 33
 _OFFER_RESOLUTION = 1e-5
 _ENVELOPE_GRID_POINTS = 8193
 
@@ -332,45 +332,29 @@ def optimal_offer(
 ) -> OptimalOffer:
     """Maximize the offerer's expected payoff over nonnegative offers.
 
-    A 2001-point grid over [0, support width] locates the neighborhood of the
-    maximum and golden-section search refines it to 1e-5; ties break toward
-    the smallest offer.  Requires a trade motive ``v2a > v2b`` (pass
-    ``allow_equal_values`` to admit the boundary case, whose optimum is 0).
+    The argmax over a 2001-point grid on [0, support width], then over 33
+    offers between the best point's neighbours, until they lie within 1e-5 or
+    stop narrowing (where 1e-5 is below an ulp); ties break toward the smallest
+    offer.  Requires a trade motive ``v2a > v2b`` (pass ``allow_equal_values``
+    to admit the boundary case, whose optimum is 0).
     """
     _require_finite("values", v2a, v2b)
     if v2a < v2b or (v2a == v2b and not allow_equal_values):
         raise PreconditionError("no trade motive: the held item is already preferred")
     ts, accept = _offer_grid(f1a, f1b, _OFFER_GRID_POINTS)
-    payoff = _payoff(v2a, v2b, ts, accept)
-    best_idx = int(np.argmax(payoff))
-
-    def objective(t: float) -> float:
-        return seller_expected_payoff(v2a, v2b, f1a, f1b, t)
-
-    a = float(ts[max(best_idx - 1, 0)])
-    b = float(ts[min(best_idx + 1, _OFFER_GRID_POINTS - 1)])
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > _OFFER_RESOLUTION:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = objective(d)
-
-    # The grid holds the pointwise rule's values, so only the refined offer needs a call.
-    refined = 0.5 * (a + b)
-    refined_accept = acceptance_probability(f1a, f1b, refined)
-    candidates = [
-        (float(ts[best_idx]), float(payoff[best_idx]), float(accept[best_idx])),
-        (refined, _payoff(v2a, v2b, refined, refined_accept), refined_accept),
-    ]
-    best_t, best_val, best_accept = min(candidates, key=lambda cand: (-cand[1], cand[0]))
-    return OptimalOffer(t_star=best_t, expected_payoff=best_val, acceptance=best_accept)
+    points, span = [], math.inf
+    while True:
+        payoff = _payoff(v2a, v2b, ts, accept)
+        i = int(np.argmax(payoff))
+        points.append((-float(payoff[i]), float(ts[i]), float(accept[i])))
+        lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)]
+        if not _OFFER_RESOLUTION < hi - lo < span:
+            break
+        span = hi - lo
+        ts = np.linspace(lo, hi, _ZOOM_POINTS)
+        accept = _acceptance(f1a, f1b, ts)
+    neg_payoff, t_star, acceptance = min(points)
+    return OptimalOffer(t_star=t_star, expected_payoff=-neg_payoff, acceptance=acceptance)
 
 
 # ---------------------------------------------------------------------------

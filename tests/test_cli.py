@@ -108,6 +108,19 @@ class TestDispatch:
         assert payload["transfers"] == [23.0, -23.0]
         assert [(t["proposer"], t["price"]) for t in payload["trade_log"]] == [(0, -23.0)]
 
+    def test_fee_run_prints_the_trade_record_and_api_utilities(self, capsys):
+        code, payload = run_json(
+            capsys,
+            ["mech", "run", "--mechanism", "expost-pairwise", "--scenario", "example-3.1",
+             "--order", "0,1", "--tau", "fixed:2"],
+        )
+        assert code == 0
+        assert [list(t) for t in payload["trade_log"]] == [
+            ["step", "proposer", "counterparty", "item_acquired", "item_given", "price", "cost"]
+        ]
+        assert payload["fees"] == [2.0, 0.0]
+        assert payload["utilities"] == [10.0, 9.0]
+
     def test_usage_error_is_exit_2(self, capsys):
         assert dispatch(["mech", "run", "--mechanism", "warp-drive"]) == 2
         assert dispatch(["definitely-not-a-command"]) == 2

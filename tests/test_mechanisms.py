@@ -2,6 +2,7 @@
 
 import itertools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from rsd_market.market import (
     TradeRecord,
     total_welfare,
     utilities,
+    utility,
     validate_outcome,
 )
 from rsd_market.mechanisms import (
@@ -300,6 +302,22 @@ class TestPairwiseTransfers:
         assert (rec.proposer, rec.counterparty) == (1, 0)
         assert rec.price == 5.0
         assert utilities(sc.instance, out).tolist() == [11.0, 10.0]
+
+    def test_utilities_pay_the_seller_fee(self):
+        # The seller (agent 0) pays the fixed fee of 2 out of the price of 5.
+        sc = get_scenario("example-3.1")
+        out = expost_pairwise_transfers(sc.instance, (0, 1), cost=TransactionCost("fixed", 2.0))
+        assert out.seller_costs().tolist() == [2.0, 0.0]
+        assert utilities(sc.instance, out).tolist() == [10.0, 9.0]
+        assert utility(sc.instance, out, 0) == 10.0
+
+    def test_inconsistent_log_is_reported_not_raised(self):
+        sc = get_scenario("example-3.1")
+        out = expost_pairwise_transfers(sc.instance, (0, 1))
+        rec = out.trade_log[0]
+        swapped = replace(rec, item_acquired=rec.item_given, item_given=rec.item_acquired)
+        corrupt = Outcome(out.allocation, out.transfers, (swapped,))
+        assert trade_log_soundness(sc.instance, corrupt) == ["trade log inconsistent at step 0"]
 
     def test_dead_end_executes_nothing(self):
         sc = get_scenario("example-4.1")

@@ -1,6 +1,7 @@
 """Two-player bargaining: acceptance integral, optimal offers, first mover."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -443,9 +444,9 @@ class TestSharedCurves:
     @pytest.mark.parametrize(
         "family, digest",
         [
-            ("uniform", "f0f70a38cb41c04d62c10239957e247fac975e811e8817d6a4c9e35f8392396e"),
-            ("truncnorm", "b5a0fdd97619f4b2818bc50fdd2ba94425e6f28e0c32983c09818c343f0d9c12"),
-            ("wide-truncnorm", "2871c90c08e501b129a421e201331fd7ab1b09b9921e142a01c44f599e31933f"),
+            ("uniform", "90b77542d920e41a5fac3fbcddd4516cda51bd67d5e7e714cf546dc6b789db9b"),
+            ("truncnorm", "d5be9cce0328fb655c797980248dfc5f68a97bfd7a2f921ff8b96193b30b492b"),
+            ("wide-truncnorm", "f1c70c6d946b0b18deb17ef29c142aff74410a3e9e120515f487e7bb617cf460"),
         ],
     )
     def test_optimal_offer_digest_is_pinned(self, family, digest):
@@ -551,6 +552,73 @@ class TestSharedCurves:
         chosen = (gains - offers) * accept[np.searchsorted(ts, offers)]
         best = ((gains[:, None] - ts[None, :]) * accept[None, :]).max(axis=1)
         assert np.all(chosen >= best - 1e-12 * np.maximum(1.0, gains))
+
+
+SEARCH_FAMILIES = [*FAMILIES.values(), Uniform(0.0, 1000.0)]
+SEARCH_VALUES = ((0.9, 0.1), (0.6, 0.3), (1.0, 0.05), (0.75, 0.7))
+
+
+def _scaled(d, v):
+    return d.lower + v * d.width
+
+
+class TestOfferSearch:
+    """``optimal_offer`` narrows its own grid argmax with the vectorized rule."""
+
+    @pytest.mark.parametrize("d", SEARCH_FAMILIES, ids=repr)
+    def test_calls_only_the_vectorized_rule(self, d, monkeypatch):
+        single, vectorized = [], []
+        rule = two_agent._acceptance
+
+        def counted(f1a, f1b, ts):
+            vectorized.append(ts.size)
+            return rule(f1a, f1b, ts)
+
+        monkeypatch.setattr(two_agent, "acceptance_probability", lambda *a: single.append(a))
+        optimal_offer(_scaled(d, 0.9), _scaled(d, 0.1), d, d)  # fills the cached grid
+        monkeypatch.setattr(two_agent, "_acceptance", counted)
+        for v2a, v2b in SEARCH_VALUES:
+            vectorized.clear()
+            optimal_offer(_scaled(d, v2a), _scaled(d, v2b), d, d)
+            bound = math.ceil(math.log(2 * d.width / 2000 / 1e-5, 16))
+            assert len(vectorized) <= bound
+            assert set(vectorized) <= {two_agent._ZOOM_POINTS}
+        assert single == []
+
+    @pytest.mark.parametrize("d", SEARCH_FAMILIES, ids=repr)
+    def test_reports_the_rule_at_a_local_maximum(self, d):
+        for v2a, v2b in SEARCH_VALUES:
+            v2a, v2b = _scaled(d, v2a), _scaled(d, v2b)
+            offer = optimal_offer(v2a, v2b, d, d)
+            t = offer.t_star
+            assert offer.expected_payoff == seller_expected_payoff(v2a, v2b, d, d, t)
+            assert offer.acceptance == acceptance_probability(d, d, t)
+            # No offer on a 1e-6 grid within 1e-4 of t* pays more.
+            ts = t + np.arange(-100, 101) * 1e-6
+            ts = ts[ts >= 0.0]
+            accept = acceptance_curve(d, d, ts)
+            payoff = (v2a - ts) * accept + v2b * (1.0 - accept)
+            assert payoff.max() <= offer.expected_payoff + 1e-10
+
+    @pytest.mark.parametrize("d", SEARCH_FAMILIES, ids=repr)
+    def test_equal_values_offer_zero(self, d):
+        for v in (0.1, 0.5, 0.9):
+            offer = optimal_offer(_scaled(d, v), _scaled(d, v), d, d, allow_equal_values=True)
+            assert offer.t_star == 0.0
+
+    def test_point_mass_returns_at_once(self, monkeypatch):
+        pm = PointMass(0.5)
+        optimal_offer(0.5, 0.5, pm, pm, allow_equal_values=True)  # fills the cached grid
+        monkeypatch.setattr(two_agent, "_acceptance", lambda *a: pytest.fail("zoomed"))
+        offer = optimal_offer(0.5, 0.5, pm, pm, allow_equal_values=True)
+        assert (offer.t_star, offer.expected_payoff, offer.acceptance) == (0.0, 0.5, 1.0)
+
+    def test_support_wider_than_the_resolution_allows(self):
+        # At 1e12, adjacent offers are 1.2e-4 apart: the search stops when
+        # the bracket stops narrowing instead of looping forever.
+        d = Uniform(0.0, 1e12)
+        offer = optimal_offer(0.9e12, 0.1e12, d, d)
+        assert offer.expected_payoff == seller_expected_payoff(0.9e12, 0.1e12, d, d, offer.t_star)
 
 
 def _offer_law_reference(f2a, f2b, f1a, f1b, received_item, n_draws, seed):
