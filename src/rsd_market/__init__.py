@@ -5,7 +5,6 @@ from .equilibrium import (
     TradeSurplus,
     brute_force_optimal,
     ce_prices,
-    interim_feasibility_check,
     max_welfare_allocation,
     trade_feasible,
     transfers_from_prices,
@@ -45,6 +44,7 @@ from .mechanisms import (
     TransactionCost,
     expost_ce_transfers,
     expost_pairwise_transfers,
+    interim_feasibility_check,
     interim_transfers,
     pairwise_aftermarket,
     rsd,

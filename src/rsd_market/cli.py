@@ -72,6 +72,11 @@ def _allocation_json(allocation: market.Allocation) -> list[int | None]:
 
 
 def _cmd_mech_run(args: argparse.Namespace) -> int:
+    name = args.mechanism
+    if args.tau != "none" and name != "expost-pairwise":
+        raise ValueError(f"--tau applies only to expost-pairwise, not to {name}")
+    if args.budget_enforced == "on" and name == "expost-ce":
+        raise ValueError("--budget-enforced does not apply to expost-ce")
     instance, default_order = _load_market(args)
     policy = mechanisms.TradePolicy(
         surplus_split=args.surplus_split,
@@ -90,7 +95,6 @@ def _cmd_mech_run(args: argparse.Namespace) -> int:
     else:
         order = default_order
 
-    name = args.mechanism
     if name == "sd" or name == "rsd":
         outcome = mechanisms.serial_dictatorship(instance, order)
     elif name == "rsd-ttc":
@@ -434,10 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--floor", choices=["on", "off"], default="on",
                      help="clamp seller reservations at zero")
     run.add_argument("--mode", choices=["fixed-point", "single-pass"], default="fixed-point")
-    run.add_argument("--tau", default="none", help="transaction cost: none|fixed:X|prop:R")
+    run.add_argument("--tau", default="none",
+                     help="transaction cost: none|fixed:X|prop:R (expost-pairwise only)")
     run.add_argument("--agent-model", choices=["myopic", "lookback-strategic"],
                      default="lookback-strategic")
-    run.add_argument("--budget-enforced", choices=["on", "off"], default="off")
+    run.add_argument("--budget-enforced", choices=["on", "off"], default="off",
+                     help="no trader pays more cash than it holds "
+                     "(expost-pairwise and interim; sd, rsd and rsd-ttc move no money)")
     run.add_argument("--numeric-mode", choices=["integer", "real"], default="real")
     run.set_defaults(handler=_cmd_mech_run)
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InternalInvariantError, PreconditionError
-from .market import Allocation, MarketInstance, replay_trade_log, validate_order
+from .market import Allocation, MarketInstance
 
 _ATOL = 1e-9
 
@@ -413,50 +413,3 @@ def trade_feasible(
     ).tolist()
     surplus = j_gets + k_gets - j_has - k_has
     return surplus > 0, TradeSurplus(surplus)
-
-
-# ---------------------------------------------------------------------------
-# Feasibility of sequential correction
-# ---------------------------------------------------------------------------
-
-
-def interim_feasibility_check(instance: MarketInstance, order: Sequence[int]) -> bool:
-    """Can each picker reach the running welfare optimum with one pick plus one swap?
-
-    Simulates the sequential pick-and-backward-trade play under gain-aligned
-    bargaining (the proposer captures the whole surplus, reservations may be
-    negative) and checks, after every turn, that the welfare of the processed
-    prefix equals the optimum an assignment solver finds for those agents over
-    all items.  Under that bargaining the play always attains whatever a
-    single pick plus a single backward swap can reach, so welfare tracking the
-    prefix optimum is exactly one-swap reachability at every turn.
-    """
-    from .mechanisms import TradePolicy, interim_transfers  # deferred: avoids module cycle
-
-    order_t = validate_order(order, instance.n_agents)
-    policy = TradePolicy(surplus_split=0.0, seller_reservation_floor=False)
-    outcome = interim_transfers(instance, order_t, "lookback-strategic", policy)
-
-    # Undoing the trade log recovers each agent's own pick; trades are logged
-    # one per turn in pick order, so prefix states can be replayed exactly.
-    picks, _ = replay_trade_log(outcome)
-    values = instance.dense_matrix()
-    held: dict[int, int] = {}
-    trades = {rec.proposer: rec for rec in outcome.trade_log}
-    for turn, j in enumerate(order_t):
-        pick = picks.assignment[j]
-        if pick is None:
-            break
-        held[j] = pick
-        rec = trades.get(j)
-        if rec is not None:
-            held[j] = rec.item_acquired
-            held[rec.counterparty] = rec.item_given
-        prefix = list(order_t[: turn + 1])
-        rows = values[prefix]
-        rr, cc = linear_sum_assignment(rows, maximize=True)
-        target = float(rows[rr, cc].sum())
-        achieved = float(sum(values[prefix, [held[a] for a in prefix]].tolist()))
-        if achieved < target - _ATOL:
-            return False
-    return True

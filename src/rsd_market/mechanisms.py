@@ -8,7 +8,14 @@ deterministic given them:
 * ex-post transfers through competitive-equilibrium prices,
 * ex-post bilateral transfers (fixed-point sweeps or a single pass),
 * interim transfers, where each picker may buy a correction from a
-  predecessor before the next pick.
+  predecessor before the next pick: one backward-offer rule, where a myopic
+  picker's lure is their own favorite and a lookback picker's is the
+  predecessor's.
+
+Both trade engines price swaps with ``bilateral_price``; with
+``budget_enforced`` set, neither side of a trade may pay more cash than it
+holds.  ``interim_feasibility_check`` replays the interim engine's trade log,
+which holds at most one trade per turn, logged in pick order.
 """
 
 from __future__ import annotations
@@ -17,8 +24,10 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .equilibrium import (
+    _ATOL,
     ce_prices,
     max_welfare_allocation,
     transfers_from_prices,
@@ -31,6 +40,7 @@ from .market import (
     TradeRecord,
     ValuationBackend,
     random_order,
+    replay_trade_log,
     validate_order,
     zero_outcome,
 )
@@ -272,7 +282,8 @@ def pairwise_aftermarket(
     Proposers are visited in pick order and act as buyers: against every
     candidate seller the price is the seller's (floored, fee-grossed)
     reservation plus the policy's share of the remaining gain, and the best
-    trade with strictly positive buyer gain executes.  ``single-pass`` visits
+    trade with strictly positive buyer gain executes; with ``budget_enforced``
+    set, neither side may pay more cash than it holds.  ``single-pass`` visits
     each agent once and freezes buyers afterwards; ``fixed-point`` sweeps until
     a full pass executes nothing.
     """
@@ -322,6 +333,11 @@ def pairwise_aftermarket(
         if policy.budget_enforced:
             money = instance.budgets[j] + transfers[j] - fees[j]
             ok &= price <= money
+            if not floored:
+                # Unfloored, a seller may pay to swap down: net of its fee,
+                # it pays no more than the cash it holds.
+                cash = instance.budgets[sellers] + transfers[sellers] - fees[sellers]
+                ok &= price - np.array([cost.fee(q) for q in price.tolist()]) >= -cash
         if not np.any(ok):
             return False
         gain = np.where(ok, gain, -np.inf)
@@ -400,11 +416,13 @@ def interim_transfers(
 ) -> Outcome:
     """Picks interleaved with at most one backward trade offer per agent.
 
-    ``myopic`` agents take their favorite available item and then offer the
-    single most profitable viable swap to an earlier picker, if any.
-    ``lookback-strategic`` agents instead weigh, for each predecessor, picking
-    the item that predecessor values most and selling it on, against simply
-    keeping their own favorite; no one reasons about agents yet to pick.
+    Each picker weighs, for every predecessor, picking a lure and selling it
+    to that predecessor for the predecessor's item, against simply keeping
+    their own favorite; the offer with the largest positive surplus over the
+    favorite executes.  A ``myopic`` picker's lure is their own favorite; a
+    ``lookback-strategic`` picker's lure is the item that predecessor values
+    most among those available.  No one reasons about agents yet to pick.
+    With ``budget_enforced`` set, neither side may pay more than it holds.
     """
     if agent_model not in ("myopic", "lookback-strategic"):
         raise ValueError(f"unknown agent model {agent_model!r}")
@@ -423,71 +441,87 @@ def interim_transfers(
             break
         row = values[j]
         favorite = int(np.argmax(np.where(available, row, -np.inf)))
+        pick = kept = favorite
         # Every earlier picker holds an item: picking stops once items run out.
         earlier = np.asarray(order_t[:turn], dtype=np.int64)
-        held = assignment[earlier]
-
-        pick = favorite
-        trade_with: int | None = None
-        trade_price = 0.0
-
-        if agent_model == "myopic":
-            assignment[j] = favorite
-            available[favorite] = False
-            if earlier.size:
-                ceiling = row[held] - row[favorite]
-                feasible, price = bilateral_price(
-                    values[earlier, held] - values[earlier, favorite],
-                    ceiling,
-                    policy,
-                )
-                gain = np.where(feasible, ceiling - price, -np.inf)
-                best = int(np.argmax(gain))
-                if gain[best] > 0.0:
-                    trade_with, trade_price = int(earlier[best]), float(price[best])
-        else:
-            if earlier.size:
-                krows = values[earlier]
+        if earlier.size:
+            held = assignment[earlier]
+            if agent_model == "myopic":
+                lures = np.full(earlier.size, favorite)
+            else:
                 # Picking what the predecessor likes best maximizes both the
                 # proposer's bargaining position and the joint gain.
-                lures = np.argmax(np.where(available, krows, -np.inf), axis=1)
-                slots = np.arange(earlier.size)
-                feasible, price = bilateral_price(
-                    krows[slots, held] - krows[slots, lures],
-                    row[held] - row[lures],
-                    policy,
-                )
-                payoff = np.where(feasible, row[held] - price, -np.inf)
-                best = int(np.argmax(payoff))
-                if payoff[best] > row[favorite]:
-                    pick = int(lures[best])
-                    trade_with, trade_price = int(earlier[best]), float(price[best])
-            assignment[j] = pick
-            available[pick] = False
-
-        if trade_with is not None:
-            k = trade_with
-            item_j, item_k = int(assignment[j]), int(assignment[k])
-            assignment[j] = item_k
-            assignment[k] = item_j
-            transfers[j] -= trade_price
-            transfers[k] += trade_price
-            log.append(
-                TradeRecord(
-                    step=len(log),
-                    proposer=j,
-                    counterparty=k,
-                    item_acquired=item_k,
-                    item_given=item_j,
-                    price=trade_price,
-                )
+                lures = np.argmax(np.where(available, values[earlier], -np.inf), axis=1)
+            ceiling = row[held] - row[lures]
+            feasible, price = bilateral_price(
+                values[earlier, held] - values[earlier, lures], ceiling, policy
             )
+            if policy.budget_enforced:
+                # A negative price is paid by the predecessor.
+                feasible &= price <= instance.budgets[j]
+                feasible &= -price <= instance.budgets[earlier] + transfers[earlier]
+            # Surplus over keeping the favorite; a myopic lure forgoes nothing.
+            score = np.where(feasible, ceiling - price, -np.inf) - (row[favorite] - row[lures])
+            best = int(np.argmax(score))
+            if score[best] > 0.0:
+                # j picks the lure and swaps it for k's item.
+                k, p = int(earlier[best]), float(price[best])
+                pick, kept = int(lures[best]), int(held[best])
+                assignment[k] = pick
+                transfers[j] -= p
+                transfers[k] += p
+                log.append(
+                    TradeRecord(step=len(log), proposer=j, counterparty=k,
+                                item_acquired=kept, item_given=pick, price=p)
+                )
+        assignment[j] = kept
+        available[pick] = False
 
     return Outcome(
         allocation=Allocation.from_array(assignment),
         transfers=tuple(float(t) for t in transfers),
         trade_log=tuple(log),
     )
+
+
+def interim_feasibility_check(instance: MarketInstance, order: Sequence[int]) -> bool:
+    """Can each picker reach the running welfare optimum with one pick plus one swap?
+
+    Simulates the sequential pick-and-backward-trade play under gain-aligned
+    bargaining (the proposer captures the whole surplus, reservations may be
+    negative) and checks, after every turn, that the welfare of the processed
+    prefix equals the optimum an assignment solver finds for those agents over
+    all items.  Under that bargaining the play always attains whatever a
+    single pick plus a single backward swap can reach, so welfare tracking the
+    prefix optimum is exactly one-swap reachability at every turn.
+    """
+    order_t = validate_order(order, instance.n_agents)
+    policy = TradePolicy(surplus_split=0.0, seller_reservation_floor=False)
+    outcome = interim_transfers(instance, order_t, "lookback-strategic", policy)
+
+    # Undoing the trade log recovers each agent's own pick; trades are logged
+    # one per turn in pick order, so prefix states can be replayed exactly.
+    picks, _ = replay_trade_log(outcome)
+    values = instance.dense_matrix()
+    held: dict[int, int] = {}
+    trades = {rec.proposer: rec for rec in outcome.trade_log}
+    for turn, j in enumerate(order_t):
+        pick = picks.assignment[j]
+        if pick is None:
+            break
+        held[j] = pick
+        rec = trades.get(j)
+        if rec is not None:
+            held[j] = rec.item_acquired
+            held[rec.counterparty] = rec.item_given
+        prefix = list(order_t[: turn + 1])
+        rows = values[prefix]
+        rr, cc = linear_sum_assignment(rows, maximize=True)
+        target = float(rows[rr, cc].sum())
+        achieved = float(sum(values[prefix, [held[a] for a in prefix]].tolist()))
+        if achieved < target - _ATOL:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

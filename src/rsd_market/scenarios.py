@@ -22,7 +22,58 @@ class Scenario:
     description: str
 
 
-def _scenario(name, matrix, budgets, order, description) -> Scenario:
+# name -> (valuations, budgets, default order, description)
+_CATALOG = {
+    "example-3.1": (
+        [[2, 1], [10, 1]],
+        [5, 5],
+        (0, 1),
+        "plain picks are stable item-wise, yet a paid swap helps both agents",
+    ),
+    "example-4.1": (
+        [[5, 0, 10], [0, 4, 0], [-10, 0, 5]],
+        [0, 0, 0],
+        (0, 2, 1),
+        "bilateral trading stalls 4 welfare units short of the optimum",
+    ),
+    "example-4.2": (
+        [[20, 10, 10, 10], [10, 200, 10, 10], [10, 10, 10, 10], [10, 10, 10, 10]],
+        [0, 500, 0, 0],
+        (0, 1, 2, 3),
+        "honest picking is dominated by buying the deep pocket's favorite",
+    ),
+    "example-5.1": (
+        [[10, 9, 0], [0, 10, 9], [4, 0, 1]],
+        [0, 0, 0],
+        (0, 1, 2),
+        "the optimum needs a three-way rotation no single backward swap induces",
+    ),
+    "example-5.2": (
+        [[10, 9, 0, 0], [0, 10, 9, 0], [4, 0, 1, 0], [0, 0, 100, 0]],
+        [0, 0, 0, 0],
+        (0, 1, 2, 3),
+        "a latecomer's single paid swap restores the welfare optimum",
+    ),
+    "identical-preferences": (
+        [[85, 63, 51, 26]] * 4,
+        [0, 0, 0, 0],
+        (0, 1, 2, 3),
+        "shared preferences collapse the transfer stage to a no-op",
+    ),
+}
+
+
+def scenario_names() -> tuple[str, ...]:
+    return tuple(_CATALOG)
+
+
+def get_scenario(name: str) -> Scenario:
+    try:
+        matrix, budgets, order, description = _CATALOG[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown scenario {name!r}; available: {', '.join(_CATALOG)}"
+        ) from None
     instance = MarketInstance.from_matrix(np.asarray(matrix, dtype=float), budgets)
     return Scenario(
         name=name,
@@ -30,103 +81,3 @@ def _scenario(name, matrix, budgets, order, description) -> Scenario:
         default_order=validate_order(order, instance.n_agents),
         description=description,
     )
-
-
-def two_agent_swap_scenario() -> Scenario:
-    """Two agents, two items; a cash-assisted swap beats the plain pick outcome."""
-    return _scenario(
-        "example-3.1",
-        [[2, 1], [10, 1]],
-        [5, 5],
-        (0, 1),
-        "plain picks are stable item-wise, yet a paid swap helps both agents",
-    )
-
-
-def pairwise_dead_end_scenario() -> Scenario:
-    """Three agents stuck: no single swap helps, only a three-way reshuffle."""
-    return _scenario(
-        "example-4.1",
-        [[5, 0, 10], [0, 4, 0], [-10, 0, 5]],
-        [0, 0, 0],
-        (0, 2, 1),
-        "bilateral trading stalls 4 welfare units short of the optimum",
-    )
-
-
-def resale_leverage_scenario(n_agents: int = 4) -> Scenario:
-    """A sniper can grab the rival's favorite room and resell it at a markup."""
-    if n_agents < 3:
-        raise ValueError("the resale story needs at least three agents")
-    matrix = np.full((n_agents, n_agents), 10.0)
-    matrix[0, 0] = 20.0
-    matrix[1, 1] = 200.0
-    budgets = np.zeros(n_agents)
-    budgets[1] = 500.0
-    return _scenario(
-        "example-4.2",
-        matrix,
-        budgets,
-        tuple(range(n_agents)),
-        "honest picking is dominated by buying the deep pocket's favorite",
-    )
-
-
-def sequential_miss_scenario() -> Scenario:
-    """Greedy sequential picks with one-swap corrections cannot reach the optimum."""
-    return _scenario(
-        "example-5.1",
-        [[10, 9, 0], [0, 10, 9], [4, 0, 1]],
-        [0, 0, 0],
-        (0, 1, 2),
-        "the optimum needs a three-way rotation no single backward swap induces",
-    )
-
-
-def sequential_rescue_scenario() -> Scenario:
-    """A fourth picker pays an earlier one to fix the inefficiency above."""
-    return _scenario(
-        "example-5.2",
-        [[10, 9, 0, 0], [0, 10, 9, 0], [4, 0, 1, 0], [0, 0, 100, 0]],
-        [0, 0, 0, 0],
-        (0, 1, 2, 3),
-        "a latecomer's single paid swap restores the welfare optimum",
-    )
-
-
-def identical_preferences_scenario(n_agents: int = 4, seed: int = 0) -> Scenario:
-    """Everyone ranks items identically, so no bilateral trade is ever viable."""
-    rng = np.random.default_rng(seed)
-    row = rng.integers(0, 100, size=n_agents).astype(float)
-    matrix = np.tile(row, (n_agents, 1))
-    return _scenario(
-        "identical-preferences",
-        matrix,
-        np.zeros(n_agents),
-        tuple(range(n_agents)),
-        "shared preferences collapse the transfer stage to a no-op",
-    )
-
-
-_BUILDERS = {
-    "example-3.1": two_agent_swap_scenario,
-    "example-4.1": pairwise_dead_end_scenario,
-    "example-4.2": resale_leverage_scenario,
-    "example-5.1": sequential_miss_scenario,
-    "example-5.2": sequential_rescue_scenario,
-    "identical-preferences": identical_preferences_scenario,
-}
-
-
-def scenario_names() -> tuple[str, ...]:
-    return tuple(_BUILDERS)
-
-
-def get_scenario(name: str, **params) -> Scenario:
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {name!r}; available: {', '.join(_BUILDERS)}"
-        ) from None
-    return builder(**params)

@@ -334,7 +334,7 @@ def criterion_09(check: _Check, shared: dict) -> None:
         n = int(rng.integers(2, 7))
         inst = MarketInstance.from_matrix(rng.integers(0, 1000, size=(n, n)).astype(float))
         order = tuple(int(j) for j in rng.permutation(n))
-        if not equilibrium.interim_feasibility_check(inst, order):
+        if not mechanisms.interim_feasibility_check(inst, order):
             continue
         found += 1
         out = mechanisms.interim_transfers(inst, order, "lookback-strategic", policy)

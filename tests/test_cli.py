@@ -43,11 +43,6 @@ class TestScenarioCatalog:
         assert np.all(m[mask] == 10.0)
         assert sc.instance.budgets[1] == 500.0
 
-    def test_identical_preferences_template(self):
-        sc = get_scenario("identical-preferences", n_agents=5, seed=3)
-        m = sc.instance.dense_matrix()
-        assert np.all(m == m[0])
-
     def test_catalog_names(self):
         assert set(scenario_names()) == {
             "example-3.1",
@@ -120,6 +115,63 @@ class TestDispatch:
         ]
         assert payload["fees"] == [2.0, 0.0]
         assert payload["utilities"] == [10.0, 9.0]
+
+    @pytest.mark.parametrize(
+        "mechanism, flag",
+        [
+            ("interim", ["--tau", "fixed:40"]),
+            ("sd", ["--tau", "prop:0.1"]),
+            ("expost-ce", ["--tau", "fixed:1"]),
+            ("expost-ce", ["--budget-enforced", "on"]),
+        ],
+    )
+    def test_settings_the_mechanism_cannot_apply_are_exit_3(self, capsys, mechanism, flag):
+        code = dispatch(["mech", "run", "--mechanism", mechanism, "--scenario", "example-3.1",
+                         "--order", "0,1", *flag])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert flag[0] in captured.err and mechanism in captured.err
+
+    @pytest.mark.parametrize("mechanism", ["sd", "rsd", "rsd-ttc"])
+    def test_budget_flag_is_accepted_where_no_money_moves(self, capsys, mechanism):
+        code, payload = run_json(
+            capsys,
+            ["mech", "run", "--mechanism", mechanism, "--scenario", "example-3.1",
+             "--seed", "3", "--budget-enforced", "on"],
+        )
+        assert code == 0
+        assert payload["transfers"] == [0.0, 0.0]
+
+    def test_interim_budget_binds(self, capsys, tmp_path):
+        # Agent 1 holds cash 1, so it cannot pay 52 for agent 0's room.
+        path = tmp_path / "m.json"
+        save_instance(MarketInstance.from_matrix([[5, 0], [100, 1]], [0, 1]), path)
+        code, payload = run_json(
+            capsys,
+            ["mech", "run", "--mechanism", "interim", "--instance", str(path),
+             "--order", "0,1", "--lambda", "0.5", "--budget-enforced", "on"],
+        )
+        assert code == 0
+        assert payload["transfers"] == [0.0, 0.0]
+        assert payload["trade_log"] == []
+
+    @pytest.mark.parametrize("mode", ["fixed-point", "single-pass"])
+    def test_unfloored_seller_budget_binds(self, capsys, tmp_path, mode):
+        # Agent 1 would pay agent 0 23 to take its room, but holds no cash;
+        # agent 1 then buys agent 0's room at agent 0's reservation, 0.
+        path = tmp_path / "m.json"
+        save_instance(MarketInstance.from_matrix([[-4, -4], [21, -2]], [0, 0]), path)
+        code, payload = run_json(
+            capsys,
+            ["mech", "run", "--mechanism", "expost-pairwise", "--instance", str(path),
+             "--order", "0,1", "--lambda", "0", "--floor", "off", "--mode", mode,
+             "--budget-enforced", "on"],
+        )
+        assert code == 0
+        assert payload["allocation"] == [1, 0]
+        assert payload["transfers"] == [0.0, 0.0]
+        assert [(t["proposer"], t["price"]) for t in payload["trade_log"]] == [(1, 0.0)]
 
     def test_usage_error_is_exit_2(self, capsys):
         assert dispatch(["mech", "run", "--mechanism", "warp-drive"]) == 2

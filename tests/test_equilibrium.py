@@ -14,7 +14,6 @@ from rsd_market import equilibrium
 from rsd_market.equilibrium import (
     brute_force_optimal,
     ce_prices,
-    interim_feasibility_check,
     max_welfare_allocation,
     trade_feasible,
     transfers_from_prices,
@@ -22,7 +21,12 @@ from rsd_market.equilibrium import (
 )
 from rsd_market.errors import PreconditionError
 from rsd_market.market import Allocation, MarketInstance, total_welfare
-from rsd_market.mechanisms import expost_ce_transfers, sd_assignment, serial_dictatorship
+from rsd_market.mechanisms import (
+    expost_ce_transfers,
+    interim_feasibility_check,
+    sd_assignment,
+    serial_dictatorship,
+)
 from rsd_market.scenarios import get_scenario
 
 BLOCK = equilibrium._BLOCK

@@ -58,7 +58,9 @@ def _scalar_terms(vj_own, vj_other, vk_own, vk_other, policy):
 
 def interim_reference(instance, order, agent_model, policy):
     """Scalar reference for ``interim_transfers``: one predecessor at a time,
-    every cell read through ``MarketInstance.value``."""
+    every predecessor cell read through ``MarketInstance.value``.  An offer
+    scores its buyer gain less what picking the lure forgoes against the
+    favorite, and the first strictly best positive score executes."""
     m, n = instance.n_agents, instance.n_items
     assignment = np.full(m, -1, dtype=np.int64)
     available = np.ones(n, dtype=bool)
@@ -70,36 +72,25 @@ def interim_reference(instance, order, agent_model, policy):
         row = instance.row(j)
         favorite = int(np.argmax(np.where(available, row, -np.inf)))
         earlier = [k for k in order[:turn] if assignment[k] >= 0]
-        pick, trade_with, trade_price = favorite, None, 0.0
-        if agent_model == "myopic":
-            assignment[j] = favorite
-            available[favorite] = False
-            best_gain = 0.0
-            for k in earlier:
-                item_k = int(assignment[k])
-                feasible, price, gain = _scalar_terms(
-                    float(row[favorite]),
-                    float(row[item_k]),
-                    instance.value(k, item_k),
-                    instance.value(k, favorite),
-                    policy,
-                )
-                if feasible and gain > best_gain:
-                    best_gain, trade_with, trade_price = gain, k, price
-        else:
-            best_payoff = float(row[favorite])
-            for k in earlier:
-                item_k = int(assignment[k])
-                krow = instance.row(k)
-                lure = int(np.argmax(np.where(available, krow, -np.inf)))
-                feasible, price, _ = _scalar_terms(
-                    float(row[lure]), float(row[item_k]), float(krow[item_k]), float(krow[lure]), policy
-                )
-                if feasible and float(row[item_k]) - price > best_payoff:
-                    best_payoff = float(row[item_k]) - price
-                    pick, trade_with, trade_price = lure, k, price
-            assignment[j] = pick
-            available[pick] = False
+        pick, trade_with, trade_price, best_score = favorite, None, 0.0, 0.0
+        for k in earlier:
+            item_k = int(assignment[k])
+            if agent_model == "myopic":
+                lure = favorite
+            else:
+                lure = int(np.argmax(np.where(available, instance.row(k), -np.inf)))
+            feasible, price, gain = _scalar_terms(
+                float(row[lure]),
+                float(row[item_k]),
+                instance.value(k, item_k),
+                instance.value(k, lure),
+                policy,
+            )
+            score = gain - (float(row[favorite]) - float(row[lure]))
+            if feasible and score > best_score:
+                best_score, pick, trade_with, trade_price = score, lure, k, price
+        assignment[j] = pick
+        available[pick] = False
         if trade_with is not None:
             k = trade_with
             item_j, item_k = int(assignment[j]), int(assignment[k])
@@ -117,8 +108,9 @@ def interim_reference(instance, order, agent_model, policy):
 def aftermarket_reference(instance, endowment, order, policy, cost):
     """Reference for ``pairwise_aftermarket``: every visit rebuilds the
     candidate mask from the owners and a per-agent ``bought`` flag, offers
-    every held item (no preference filter, in either mode), and reads seller
-    values with one item id per seller."""
+    every held item (no preference filter, in either mode), reads seller
+    values with one item id per seller, and checks each unfloored seller's
+    cash one candidate at a time."""
     m, n = instance.n_agents, instance.n_items
     assignment = endowment.to_array()
     owner = np.full(n, -1, dtype=np.int64)
@@ -151,6 +143,10 @@ def aftermarket_reference(instance, endowment, order, policy, cost):
         gain = ceiling - price
         if policy.budget_enforced:
             ok &= price <= instance.budgets[j] + transfers[j] - fees[j]
+            if not policy.seller_reservation_floor:
+                for c, k in enumerate(sellers.tolist()):
+                    cash = instance.budgets[k] + transfers[k] - fees[k]
+                    ok[c] &= float(price[c]) - cost.fee(float(price[c])) >= -cash
         if not np.any(ok):
             return False
         gain = np.where(ok, gain, -np.inf)

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from rsd_market.equilibrium import _ATOL, interim_feasibility_check, trade_feasible
+from rsd_market.equilibrium import _ATOL, trade_feasible
 from rsd_market.housing import HOUSING_POLICY, small_tau_bound, tax_incidence_check
 from rsd_market.market import (
     Allocation,
@@ -34,6 +34,7 @@ from rsd_market.mechanisms import (
     NO_COST,
     TradePolicy,
     bilateral_price,
+    interim_feasibility_check,
     interim_transfers,
     pairwise_aftermarket,
     ttc,
@@ -176,9 +177,10 @@ def interim_transfers_reference(instance, order, agent_model, policy):
                 feasible, price = bilateral_price(
                     krows[slots, held] - krows[slots, lures], row[held] - row[lures], policy
                 )
-                payoff = np.where(feasible, row[held] - price, -np.inf)
-                best = int(np.argmax(payoff))
-                if payoff[best] > row[favorite]:
+                gain = np.where(feasible, row[held] - row[lures] - price, -np.inf)
+                score = gain - (row[favorite] - row[lures])
+                best = int(np.argmax(score))
+                if score[best] > 0.0:
                     pick = int(lures[best])
                     trade_with, trade_price = int(earlier[best]), float(price[best])
             assignment[j] = pick
