@@ -389,6 +389,8 @@ def batch_run(
     """Independent replications on derived seeds, aggregated deterministically."""
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
+    if parallelism < 1:
+        raise ValueError("parallelism must be >= 1")
     seeds = [derive_seed(master_seed, r) for r in range(n_reps)]
     if parallelism > 1:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:

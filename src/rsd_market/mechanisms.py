@@ -110,7 +110,8 @@ class TransactionCost:
         if self.kind == "fixed":
             return float(self.amount)
         if self.kind == "proportional":
-            return float(self.amount * max(price, 0.0))
+            # A nonpositive price pays no fee; multiplying would make inf * 0 a NaN.
+            return float(self.amount * price) if price > 0 else 0.0
         return 0.0
 
 

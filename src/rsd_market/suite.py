@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from . import equilibrium, housing, market, mechanisms, scenarios, two_agent
 from .market import Allocation, MarketInstance, Outcome, replay_trade_log
@@ -442,6 +441,9 @@ def criterion_12(check: _Check, shared: dict) -> None:
 
     Stores its batch in ``shared["desk_batch"]`` for C14 to reuse.
     """
+    # scipy.stats costs about 0.5 s and 20 MB to import; only C12 and C13 use it.
+    from scipy import stats as scipy_stats
+
     cfg = housing.SimConfig(n_agents=1000)
     batch = housing.batch_run(cfg, 20, master_seed=_DESK_MASTER_SEED)
     positive = int(np.sum(batch.gains > 0))
@@ -463,6 +465,9 @@ def criterion_12(check: _Check, shared: dict) -> None:
 
 def criterion_13(check: _Check, shared: dict) -> None:
     """Wealth ladder: gains rise with budget and bend logarithmically."""
+    # scipy.stats costs about 0.5 s and 20 MB to import; only C12 and C13 use it.
+    from scipy import stats as scipy_stats
+
     # The stated miniature (100 groups at ratio 1.01) spans budgets [1, 2.7]
     # against prices spanning thousands, which degenerates the experiment; a
     # range-preserving miniature strides the full ladder instead.  Both are

@@ -351,6 +351,14 @@ class TestSimCommands:
         err = capsys.readouterr().err
         assert code == 3 and "Traceback" not in err and "error: " in err
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_nonpositive_threads_is_exit_3(self, capsys, tmp_path, threads):
+        code = dispatch(["sim", "housing", "--agents", "20", "--reps", "1", "--seed", "1",
+                         "--threads", threads, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3 and "Traceback" not in err and "error: " in err
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_outputs(self, capsys, tmp_path):
         out_dir = tmp_path / "sweep"
         code, payload = run_json(

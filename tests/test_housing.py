@@ -193,6 +193,11 @@ class TestBatch:
             assert np.array_equal(a.delta, b.delta)
             assert a.trades == b.trades
 
+    @pytest.mark.parametrize("parallelism", [0, -1])
+    def test_nonpositive_parallelism_rejected(self, desk_config, parallelism):
+        with pytest.raises(ValueError, match="parallelism"):
+            batch_run(desk_config, 1, master_seed=7, parallelism=parallelism)
+
     def test_aggregates(self, desk_config):
         batch = batch_run(desk_config, 3, master_seed=90)
         assert batch.gains.shape == (3,)

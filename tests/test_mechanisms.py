@@ -442,6 +442,21 @@ class TestTransactionCosts:
             assert type(cost.fee(3.0)) is float and cost.fee(3.0) == fee
         assert TransactionCost("proportional", 0.5).fee(-4.0) == 0.0
 
+    def test_infinite_rate_charges_no_fee_on_a_swap_down(self):
+        # Unfloored, the seller pays 23 to swap down; an infinite rate on a
+        # nonpositive price is no fee, not inf * 0.
+        market = MarketInstance.from_matrix([[-4, -4], [21, -2]])
+        out = expost_pairwise_transfers(
+            market,
+            (0, 1),
+            TradePolicy(surplus_split=0.0, seller_reservation_floor=False),
+            TransactionCost("proportional", float("inf")),
+        )
+        (rec,) = out.trade_log
+        assert rec.price == -23.0 and rec.cost == 0.0
+        assert out.seller_costs().tolist() == [0.0, 0.0]
+        assert utilities(market, out).tolist() == [19.0, -2.0]
+
     def test_fee_gates_trades_by_surplus(self):
         sc = get_scenario("example-3.1")
         # Joint surplus is 8: a fee of 7.9 still trades, 8.1 does not.
