@@ -478,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     dist_flags(fm)
     fm.add_argument("--v1a", type=float, required=True)
     fm.add_argument("--v1b", type=float, required=True)
-    fm.add_argument("--draws", type=int, default=100_000)
+    fm.add_argument("--draws", type=int, default=100_000,
+                    help="opponent value pairs, one sample shared by both picks")
     fm.add_argument("--seed", type=int)
     fm.set_defaults(handler=_cmd_two_agent_first_mover)
 

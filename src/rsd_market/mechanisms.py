@@ -130,7 +130,8 @@ def bilateral_price(
     what the buyer gains.  The reservation is floored at 0 when the policy
     says so, then grossed up for the fee; a swap is feasible when the ceiling
     strictly exceeds that floor, and is priced at the floor plus the policy's
-    share of the gap.  Infeasible swaps are priced at 0, so a floor that no
+    share of the gap; a share of 1 prices it at the ceiling itself, so the
+    buyer gains exactly 0.  Infeasible swaps are priced at 0, so a floor that no
     price can reach (a proportional fee of 100 % or more) never enters the
     arithmetic.  Above a proportional rate of 100 % the fee on a positive
     price exceeds the price, so any share of the gap would leave the seller
@@ -143,6 +144,9 @@ def bilateral_price(
     feasible = ceiling > floor
     floor = np.where(feasible, floor, 0.0)
     split = 0.0 if cost.kind == "proportional" and cost.amount > 1.0 else policy.surplus_split
+    if split == 1.0:
+        # floor + 1.0 * (ceiling - floor) can round an ulp off the ceiling.
+        return feasible, np.where(feasible, ceiling, 0.0)
     price = floor + split * np.where(feasible, ceiling - floor, 0.0)
     return feasible, price
 

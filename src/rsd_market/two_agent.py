@@ -438,42 +438,45 @@ def _grid_optimal_offers(
     return offers[np.searchsorted(cuts, gains, side="left")]
 
 
-def offer_distribution(
+def _sorted_gains(
+    f2a: ValueDistribution, f2b: ValueDistribution, n_draws: int, seed: int
+) -> np.ndarray:
+    """The second player's ``va - vb`` over ``n_draws`` seeded value pairs,
+    sorted.  The holder of B gains the positive tail; the holder of A gains
+    the positive tail of ``-gains[::-1]``, which is the sorted ``vb - va`` bit
+    for bit, since rounding is symmetric: ``fl(a - b) == -fl(b - a)``."""
+    if n_draws < 1:
+        raise ValueError("n_draws must be at least 1")
+    rng = np.random.default_rng(seed)
+    va = f2a.sample(rng, n_draws)
+    gains = va - f2b.sample(rng, n_draws)
+    gains.sort()
+    return gains
+
+
+def _offer_law(
+    gains: np.ndarray,
     f2a: ValueDistribution,
     f2b: ValueDistribution,
     f1a: ValueDistribution,
     f1b: ValueDistribution,
     received_item: str,
     n_draws: int,
-    seed: int,
 ) -> OfferDistribution:
-    """Monte-Carlo law of the second player's optimal offer.
+    """Offer law of the holder of ``received_item``, from :func:`_sorted_gains`.
 
-    Draws the second player's private values, sorts the gains from trading
-    away ``received_item`` and keeps the positive ones.  The grid-optimal
-    offer is a nondecreasing step function of the gain (the cached envelope),
-    so the sorted offers are the envelope's offers repeated by the number of
-    gains between consecutive cut points: one binary search per cut, none per
-    draw.  Same seed, same distribution.
+    The positive gains make offers.  The grid-optimal offer is a nondecreasing
+    step function of the gain (the cached envelope), so the sorted offers are
+    the envelope's offers repeated by the number of gains between consecutive
+    cut points: one binary search per cut, none per draw.
     """
-    if n_draws < 1:
-        raise ValueError("n_draws must be at least 1")
-    if received_item not in ("A", "B"):
-        raise ValueError("received_item must be 'A' or 'B'")
     _require_common_support(f1a, f1b)
-    rng = np.random.default_rng(seed)
-    va = f2a.sample(rng, n_draws)
-    vb = f2b.sample(rng, n_draws)
     if received_item == "B":
-        gains = va - vb
         # Holder of B courts the holder of A.
-        outer, inner = f1a, f1b
-        no_offer = stieltjes_cdf_integral(f2b, f2a, 0.0)
+        outer, inner, no_offer = f1a, f1b, stieltjes_cdf_integral(f2b, f2a, 0.0)
     else:
-        gains = vb - va
-        outer, inner = f1b, f1a
-        no_offer = stieltjes_cdf_integral(f2a, f2b, 0.0)
-    gains.sort()
+        gains = -gains[::-1]
+        outer, inner, no_offer = f1b, f1a, stieltjes_cdf_integral(f2a, f2b, 0.0)
     gains = gains[np.searchsorted(gains, 0.0, side="right") :]
     if gains.size:
         envelope_offers, cuts = _offer_envelope(outer, inner)
@@ -487,6 +490,27 @@ def offer_distribution(
         n_draws=n_draws,
         degenerate=gains.size == 0,
     )
+
+
+def offer_distribution(
+    f2a: ValueDistribution,
+    f2b: ValueDistribution,
+    f1a: ValueDistribution,
+    f1b: ValueDistribution,
+    received_item: str,
+    n_draws: int,
+    seed: int,
+) -> OfferDistribution:
+    """Monte-Carlo law of the second player's optimal offer.
+
+    Draws the second player's private values and keeps the positive gains
+    from trading away ``received_item``, each mapped to its grid-optimal
+    offer.  Same seed, same distribution.
+    """
+    if received_item not in ("A", "B"):
+        raise ValueError("received_item must be 'A' or 'B'")
+    gains = _sorted_gains(f2a, f2b, n_draws, seed)
+    return _offer_law(gains, f2a, f2b, f1a, f1b, received_item, n_draws)
 
 
 @dataclass(frozen=True)
@@ -534,13 +558,17 @@ def first_mover_expected_utility(
     """Expected utility of the first pick, composed from the offer law.
 
     Picking A leaves the opponent with B, so the relevant offer distribution
-    conditions on them wanting A, and symmetrically for picking B.  Ties on
+    conditions on them wanting A, and symmetrically for picking B.  One seeded
+    sample of the opponent's value pairs serves both picks: a pair with
+    ``va > vb`` offers after pick A, one with ``vb > va`` after pick B, and a
+    tie in neither.  So each branch equals :func:`_branch_eu` over
+    :func:`offer_distribution` at this same ``seed``, bit for bit.  Ties on
     the comparison go to A.
     """
     _require_finite("values", v1a, v1b)
-    seeds = np.random.SeedSequence(seed).generate_state(2)
-    offers_after_a = offer_distribution(f2a, f2b, f1a, f1b, "B", n_draws, int(seeds[0]))
-    offers_after_b = offer_distribution(f2a, f2b, f1a, f1b, "A", n_draws, int(seeds[1]))
+    gains = _sorted_gains(f2a, f2b, n_draws, seed)
+    offers_after_a = _offer_law(gains, f2a, f2b, f1a, f1b, "B", n_draws)
+    offers_after_b = _offer_law(gains, f2a, f2b, f1a, f1b, "A", n_draws)
     eu_a, se_a = _branch_eu(v1a, v1b, offers_after_a)
     eu_b, se_b = _branch_eu(v1b, v1a, offers_after_b)
     return FirstMoverResult(

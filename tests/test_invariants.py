@@ -48,6 +48,15 @@ COSTS = (
 # on both sides of a trade.
 INTERIM_BUDGET = MarketInstance.from_matrix([[5, 0], [100, 1]], [0, 1])
 SELLER_BUDGET = MarketInstance.from_matrix([[-4, -4], [21, -2]], [0, 0])
+# Normal values where floor + 1.0 * (ceiling - floor) rounds an ulp below the
+# ceiling; in the order (3, 2, 1, 0) (seed 3) that made a zero-surplus interim
+# swap look profitable to agent 1.
+FULL_SPLIT = MarketInstance.from_matrix([
+    [125.42699416457813, 103.95608213726467, 107.46136529115347],
+    [86.27945918349162, 23.475577296576603, 104.3340685641049],
+    [124.76015706858087, 52.92062874652412, 67.0181632293532],
+    [146.73750713840315, 91.55551251920203, 125.74422563849701],
+])
 
 
 @st.composite
@@ -78,10 +87,20 @@ def assert_sound(instance, outcome, policy, context):
         assert np.all(cash(instance, outcome) >= -1e-9), (context, cash(instance, outcome))
 
 
+def buyer_gains(instance, outcome):
+    return [
+        instance.value(rec.proposer, rec.item_acquired)
+        - instance.value(rec.proposer, rec.item_given)
+        - rec.price
+        for rec in outcome.trade_log
+    ]
+
+
 class TestEveryEngine:
     @given(inst=markets(), seed=st.integers(0, 2**16))
     @example(inst=INTERIM_BUDGET, seed=0)
     @example(inst=SELLER_BUDGET, seed=0)
+    @example(inst=FULL_SPLIT, seed=3)
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_invariants_hold(self, inst, seed):
         order = tuple(int(j) for j in np.random.default_rng(seed).permutation(inst.n_agents))
@@ -97,10 +116,17 @@ class TestEveryEngine:
                 policy = TradePolicy(split, floor, mode, budget)
                 out = expost_pairwise_transfers(inst, order, policy, cost)
                 assert_sound(inst, out, policy, ("pairwise", policy, cost))
+                # At split 1 the buyer pays the whole ceiling, unless a rate
+                # above 100 % forces the price down to the floor.
+                if split == 1.0 and not (cost.kind == "proportional" and cost.amount > 1.0):
+                    assert all(g == 0.0 for g in buyer_gains(inst, out)), (policy, cost)
             policy = TradePolicy(split, floor, budget_enforced=budget)
             for model in ("myopic", "lookback-strategic"):
                 out = interim_transfers(inst, order, model, policy)
                 assert_sound(inst, out, policy, ("interim", model, policy))
+                if split == 1.0:
+                    # A picker who pays the whole ceiling has nothing to gain.
+                    assert out.trade_log == (), (model, policy)
 
         if inst.n_agents == inst.n_items:
             ce = expost_ce_transfers(inst, order)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rsd_market import two_agent
@@ -475,19 +475,31 @@ class TestSharedCurves:
     @pytest.mark.parametrize(
         "family, digest",
         [
-            ("uniform", "d211ca395eebbefc34ab93d38e475436b062366f536c4438ccf5843a7f891ad6"),
-            ("truncnorm", "943b8f899651f6ebec0c134fbd90cae134647174c7b145bcc5ec1d25aa9fc250"),
+            ("uniform", "c220c8a8d96f91c1a08ec02af964f9c95e3019ed87d27e0aa714e20895b777c8"),
+            ("truncnorm", "8ccfacfb7b5b518295f79392ec863a327c1f9e60d5a2039cb02c3bb2e0014437"),
         ],
     )
-    def test_first_mover_and_rollout_digest_is_pinned(self, family, digest):
+    def test_first_mover_digest_is_pinned(self, family, digest):
         d = FAMILIES[family]
         rows = []
         for v1a, v1b, seed in ((0.9, 0.2, 31), (0.3, 0.7, 32)):
             r = first_mover_expected_utility(v1a, v1b, d, d, d, d, 30_000, seed)
             rows.append((r.eu_choose_a, r.eu_choose_b, r.se_choose_a, r.se_choose_b))
-            rows.append(
-                [simulate_first_mover_game(v1a, v1b, d, d, d, d, c, 30_000, seed + 100) for c in "AB"]
-            )
+        assert _digest(*rows) == digest
+
+    @pytest.mark.parametrize(
+        "family, digest",
+        [
+            ("uniform", "9d00f0140c088451e8c93526beb7db62cd572f87af613b371e2d4762d56f2f6f"),
+            ("truncnorm", "ec69fa4cfea2f55deebadcd3527daa4be435b516420b7c21942d4baa50f8f590"),
+        ],
+    )
+    def test_rollout_digest_is_pinned(self, family, digest):
+        d = FAMILIES[family]
+        rows = [
+            [simulate_first_mover_game(v1a, v1b, d, d, d, d, c, 30_000, seed + 100) for c in "AB"]
+            for v1a, v1b, seed in ((0.9, 0.2, 31), (0.3, 0.7, 32))
+        ]
         assert _digest(*rows) == digest
 
     @pytest.mark.parametrize("n", [1, 15, 511, 512, 513, 976, 977, 1953, 2001, 8193])
@@ -710,3 +722,53 @@ class TestOfferLaw:
         offer_distribution(a, a, a, a, "B", 1000, seed=2)
         offer_distribution(b, b, b, b, "A", 1000, seed=3)
         assert calls == [two_agent._OFFER_GRID_POINTS, two_agent._ENVELOPE_GRID_POINTS]
+
+
+@st.composite
+def opponent_pairs(draw):
+    """The second player's (f2a, f2b): uniforms, truncated normals and point
+    masses, each on its own support, so the pair is often mixed.  Point
+    masses give every draw the same gain, and so empty laws."""
+
+    def one():
+        lower = draw(st.floats(-1.0, 1.0))
+        kind = draw(st.sampled_from(["uniform", "truncnorm", "point"]))
+        if kind == "point":
+            return PointMass(draw(st.sampled_from([0.0, 0.5, 1.0])))
+        width = draw(st.floats(0.1, 2.0))
+        if kind == "uniform":
+            return Uniform(lower, lower + width)
+        mu = lower + draw(st.floats(0.0, 1.0)) * width
+        return TruncatedNormal(lower, lower + width, mu, width * 10.0 ** draw(st.floats(-1.5, 0.5)))
+
+    if draw(st.booleans()):
+        d = one()
+        return d, d
+    return one(), one()
+
+
+class TestFirstMoverContract:
+    """One sample serves both picks: each branch equals ``_branch_eu`` over
+    ``offer_distribution`` at the call's own seed, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    # Point-mass opponents: an empty law after one pick, then after both.
+    @example((PointMass(0.2), PointMass(0.8)), (UNIT, UNIT), 0.7, 0.4, 500, 3)
+    @example((PointMass(0.5), PointMass(0.5)), (UNIT, UNIT), 0.7, 0.4, 500, 3)
+    @given(
+        opponent_pairs(),
+        st.one_of(support_pairs(), st.just((UNIT, UNIT)), st.just((PointMass(0.5),) * 2)),
+        st.floats(-1.0, 2.0),
+        st.floats(-1.0, 2.0),
+        st.integers(1, 5000),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_branches_equal_their_offer_laws(self, f2, f1, v1a, v1b, n_draws, seed):
+        r = first_mover_expected_utility(v1a, v1b, *f2, *f1, n_draws, seed)
+        after_a = offer_distribution(*f2, *f1, "B", n_draws, seed)
+        after_b = offer_distribution(*f2, *f1, "A", n_draws, seed)
+        eu_a, se_a = two_agent._branch_eu(v1a, v1b, after_a)
+        eu_b, se_b = two_agent._branch_eu(v1b, v1a, after_b)
+        got = [r.eu_choose_a, r.eu_choose_b, r.se_choose_a, r.se_choose_b]
+        assert [x.hex() for x in got] == [x.hex() for x in (eu_a, eu_b, se_a, se_b)]
+        assert r.best_choice == ("A" if eu_a >= eu_b else "B")
