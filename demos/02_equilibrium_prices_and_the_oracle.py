@@ -19,7 +19,7 @@ from rsd_market import (
     max_welfare_allocation,
     serial_dictatorship,
     total_welfare,
-    trade_feasible,
+    trade_surplus,
     verify_ce,
 )
 
@@ -55,9 +55,9 @@ print(market.dense_matrix())
 stuck = serial_dictatorship(market, scenario.default_order).allocation
 print("allocation after picks:", stuck.assignment)
 for j, k in ((0, 1), (0, 2), (1, 2)):
-    feasible, surplus = trade_feasible(market, stuck, j, k)
-    print(f"  swap {j}<->{k}: joint surplus {surplus.surplus:+.0f} -> "
-          f"{'viable' if feasible else 'no deal'}")
+    surplus = trade_surplus(market, stuck, j, k)
+    print(f"  swap {j}<->{k}: joint surplus {surplus:+.0f} -> "
+          f"{'viable' if surplus > 0 else 'no deal'}")
 
 best = max_welfare_allocation(market)
 print("stuck welfare:", total_welfare(market, stuck),

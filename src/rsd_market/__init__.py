@@ -2,11 +2,10 @@
 
 from .equilibrium import (
     PriceVector,
-    TradeSurplus,
     brute_force_optimal,
     ce_prices,
     max_welfare_allocation,
-    trade_feasible,
+    trade_surplus,
     transfers_from_prices,
     verify_ce,
 )

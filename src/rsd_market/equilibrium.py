@@ -45,17 +45,6 @@ class PriceVector:
         return float(self.prices[item])
 
 
-@dataclass(frozen=True)
-class TradeSurplus:
-    """Joint gain from a bilateral item swap; positive means the swap is viable."""
-
-    surplus: float
-
-    @property
-    def feasible(self) -> bool:
-        return self.surplus > 0
-
-
 # ---------------------------------------------------------------------------
 # Welfare-maximizing assignment
 # ---------------------------------------------------------------------------
@@ -394,12 +383,10 @@ def transfers_from_prices(
 # ---------------------------------------------------------------------------
 
 
-def trade_feasible(
-    instance: MarketInstance, allocation: Allocation, j: int, k: int
-) -> tuple[bool, TradeSurplus]:
-    """Swap viability for agents ``j`` and ``k`` under the current allocation.
+def trade_surplus(instance: MarketInstance, allocation: Allocation, j: int, k: int) -> float:
+    """Joint gain if agents ``j`` and ``k`` swap their current items.
 
-    The joint surplus is ``[v_j(a(k)) + v_k(a(j))] - [v_j(a(j)) + v_k(a(k))]``;
+    The surplus is ``[v_j(a(k)) + v_k(a(j))] - [v_j(a(j)) + v_k(a(k))]``;
     some payment makes both sides strictly better off iff it is positive.
     """
     if j == k:
@@ -411,5 +398,4 @@ def trade_feasible(
     j_gets, k_gets, j_has, k_has = instance.cells(
         [j, k, j, k], [item_k, item_j, item_j, item_k]
     ).tolist()
-    surplus = j_gets + k_gets - j_has - k_has
-    return surplus > 0, TradeSurplus(surplus)
+    return j_gets + k_gets - j_has - k_has

@@ -81,7 +81,7 @@ def parse_wealth(spec: str) -> WealthModel:
     kind, _, rest = spec.partition(":")
     if kind == "equal":
         return WealthModel(kind="equal", amount=float(rest) if rest else 10_000.0)
-    if kind in ("powerlaw", "power-law"):
+    if kind == "powerlaw":
         groups, base, per = rest.split(",")
         return WealthModel(
             kind="power-law",
@@ -113,10 +113,6 @@ class HousingInstance:
     means: np.ndarray
     variances: np.ndarray
     seed: int
-
-    @property
-    def n_agents(self) -> int:
-        return self.market.n_agents
 
 
 def generate_instance(config: SimConfig, seed: int) -> HousingInstance:
@@ -189,10 +185,6 @@ class AugmentedValuations:
         blend *= 0.5
         return np.maximum(private, blend, out=blend)
 
-    def values(self, agents: np.ndarray, items: np.ndarray) -> np.ndarray:
-        private = self.base.values(agents, items)
-        return np.maximum(private, 0.5 * (private + self.public[np.asarray(items)]))
-
 
 def augmented_valuations(
     market: MarketInstance, v_pub: np.ndarray, cost: TransactionCost = NO_COST
@@ -205,10 +197,8 @@ def augmented_valuations(
     """
     if cost.kind == "fixed":
         net_public = v_pub - cost.amount
-    elif cost.kind == "proportional":
-        net_public = v_pub * max(0.0, 1.0 - cost.amount)
     else:
-        net_public = v_pub
+        net_public = v_pub * max(0.0, 1.0 - cost.amount)
     return AugmentedValuations(base=market.valuations, public=net_public)
 
 
@@ -275,18 +265,6 @@ class SimReport:
     def negative_delta_count(self) -> int:
         return int(np.sum(self.delta < 0))
 
-    @property
-    def negative_delta_fraction(self) -> float:
-        return self.negative_delta_count / self.n_agents
-
-    @property
-    def negative_trade_stage_count(self) -> int:
-        return int(np.sum(self.trade_stage_delta < 0))
-
-    @property
-    def negative_trade_stage_fraction(self) -> float:
-        return self.negative_trade_stage_count / self.n_agents
-
 
 def run_housing_sim(config: SimConfig, seed: int) -> SimReport:
     """One full replication; identical (config, seed) gives a bit-identical report."""
@@ -342,7 +320,6 @@ def run_housing_sim(config: SimConfig, seed: int) -> SimReport:
 class BatchReport:
     """Replications merged in index order, so parallelism cannot change results."""
 
-    master_seed: int
     reports: tuple[SimReport, ...]
 
     @property
@@ -379,8 +356,8 @@ class BatchReport:
         pooled = self.pooled_trade_stage_delta
         return float(np.sum(pooled < 0) / pooled.size)
 
-    def pooled_histogram(self, bins: int = DELTA_HISTOGRAM_BINS) -> tuple[np.ndarray, np.ndarray]:
-        return np.histogram(self.pooled_delta, bins=bins)
+    def pooled_histogram(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.histogram(self.pooled_delta, bins=DELTA_HISTOGRAM_BINS)
 
 
 def batch_run(
@@ -397,7 +374,7 @@ def batch_run(
             reports = list(pool.map(lambda s: run_housing_sim(config, s), seeds))
     else:
         reports = [run_housing_sim(config, s) for s in seeds]
-    return BatchReport(master_seed=master_seed, reports=tuple(reports))
+    return BatchReport(reports=tuple(reports))
 
 
 @dataclass(frozen=True)
@@ -419,7 +396,7 @@ def transaction_cost_sweep(
     taus = [float(t) for t in tau_values]
     if any(t < 0 for t in taus) or sorted(taus) != taus:
         raise ValueError("tau values must be nonnegative and sorted")
-    mode = kind or (config.cost.kind if config.cost.kind != "none" else "fixed")
+    mode = kind or config.cost.kind
     rows = []
     for tau in taus:
         cfg = replace(config, cost=TransactionCost(kind=mode, amount=tau))
@@ -479,27 +456,19 @@ def tax_incidence_check(
     return True
 
 
-@dataclass(frozen=True)
-class SmallTauBound:
-    """Friction headroom of an aftermarket run started from a fixed allocation."""
-
-    gamma_star: float
-    has_feasible_trade: bool
-
-
 def small_tau_bound(
     instance: MarketInstance,
     allocation: Allocation,
     order: Sequence[int] | None = None,
     policy: TradePolicy | None = None,
-) -> SmallTauBound:
+) -> float:
     """Smallest executed-trade margin of the frictionless aftermarket.
 
     Any fixed fee strictly below the returned value leaves every trade
     decision (and hence the final room swaps) unchanged, because a fixed fee
-    shifts all candidate prices uniformly.  Infinite with a flag when the
-    frictionless run executes no trades.  Budgets are ignored: the bound
-    concerns the trade decisions themselves.
+    shifts all candidate prices uniformly.  Infinite when the frictionless run
+    executes no trades.  Budgets are ignored: the bound concerns the trade
+    decisions themselves.
     """
     order_t = tuple(range(instance.n_agents)) if order is None else tuple(order)
     pol = policy or replace(HOUSING_POLICY, budget_enforced=False)
@@ -507,10 +476,10 @@ def small_tau_bound(
         raise ValueError("the friction bound is defined for unconstrained budgets")
     _, _, log = pairwise_aftermarket(instance, allocation, order_t, pol, NO_COST)
     if not log:
-        return SmallTauBound(gamma_star=float("inf"), has_feasible_trade=False)
+        return float("inf")
     proposers = [rec.proposer for rec in log]
     acquired, given = instance.cells(
         proposers * 2, [rec.item_acquired for rec in log] + [rec.item_given for rec in log]
     ).reshape(2, -1)
     margins = acquired - given - np.array([rec.price for rec in log])
-    return SmallTauBound(gamma_star=float(min(margins.tolist())), has_feasible_trade=True)
+    return float(min(margins.tolist()))

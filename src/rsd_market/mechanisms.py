@@ -75,44 +75,38 @@ class TradePolicy:
 class TransactionCost:
     """Per-trade friction, charged on the seller's side of each executed trade.
 
-    ``fixed`` charges a flat ``amount`` per trade; ``proportional`` charges
-    ``amount`` (a rate) times the trade price.  Prices are grossed up so the
-    seller still nets their reservation value after remitting the fee: the
-    trade decision then reduces to joint surplus exceeding the fee, no matter
-    which side nominally hands the money over.
+    ``fixed`` charges a flat ``amount`` per trade (``NO_COST`` is a fixed fee
+    of 0); ``proportional`` charges ``amount`` (a rate) times the trade price.
+    Prices are grossed up so the seller still nets their reservation value
+    after remitting the fee: the trade decision then reduces to joint surplus
+    exceeding the fee, no matter which side nominally hands the money over.
     """
 
-    kind: Literal["none", "fixed", "proportional"] = "none"
+    kind: Literal["fixed", "proportional"] = "fixed"
     amount: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("none", "fixed", "proportional"):
+        if self.kind not in ("fixed", "proportional"):
             raise ValueError(f"unknown transaction cost kind {self.kind!r}")
         if not self.amount >= 0:  # also rejects NaN
             raise ValueError("transaction cost must be a nonnegative number")
-        if self.kind == "none" and self.amount != 0.0:
-            raise ValueError("kind 'none' cannot carry an amount")
 
     def gross_price(self, reservation: np.ndarray | float) -> np.ndarray | float:
         """Minimum price at which the seller is whole after the fee."""
         r = reservation
         if self.kind == "fixed":
             return r + self.amount
-        if self.kind == "proportional":
-            if self.amount >= 1.0:
-                # A rate >= 100% cannot be recovered from any positive price.
-                return np.where(np.asarray(r) > 0, np.inf, r)
-            return np.where(np.asarray(r) > 0, r / (1.0 - self.amount), r)
-        return r
+        if self.amount >= 1.0:
+            # A rate >= 100% cannot be recovered from any positive price.
+            return np.where(np.asarray(r) > 0, np.inf, r)
+        return np.where(np.asarray(r) > 0, r / (1.0 - self.amount), r)
 
     def fee(self, price: float) -> float:
         """The fee on one trade at ``price``."""
         if self.kind == "fixed":
             return float(self.amount)
-        if self.kind == "proportional":
-            # A nonpositive price pays no fee; multiplying would make inf * 0 a NaN.
-            return float(self.amount * price) if price > 0 else 0.0
-        return 0.0
+        # A nonpositive price pays no fee; multiplying would make inf * 0 a NaN.
+        return float(self.amount * price) if price > 0 else 0.0
 
 
 NO_COST = TransactionCost()
@@ -160,7 +154,7 @@ def parse_cost(spec: str) -> TransactionCost:
         raise ValueError(f"malformed transaction cost spec {spec!r}")
     if kind == "fixed":
         return TransactionCost("fixed", float(amt))
-    if kind in ("prop", "proportional"):
+    if kind == "prop":
         return TransactionCost("proportional", float(amt))
     raise ValueError(f"malformed transaction cost spec {spec!r}")
 
@@ -537,7 +531,6 @@ def interim_feasibility_check(instance: MarketInstance, order: Sequence[int]) ->
 @dataclass(frozen=True)
 class StrategyBranch:
     label: str
-    description: str
     payoff: float
     transfer_received: float = 0.0
 
@@ -550,10 +543,6 @@ class StrategyScenarioReport:
     branches: tuple[StrategyBranch, ...]
     best_label: str
     manipulation_gain: float
-
-    @property
-    def manipulation_pays(self) -> bool:
-        return self.manipulation_gain >= 0
 
 
 def strategic_rsd_counterexample(surplus_split: float = 0.5) -> StrategyScenarioReport:
@@ -574,14 +563,9 @@ def strategic_rsd_counterexample(surplus_split: float = 0.5) -> StrategyScenario
         raise InternalInvariantError("the resale branch must always be viable")
     price = float(price)
     branches = (
-        StrategyBranch("generic-room", "pick any room neither values; no resale", v_a_other),
-        StrategyBranch("honest-favorite", "pick the privately best room", v_a_room0),
-        StrategyBranch(
-            "grab-and-resell",
-            "pick the rival's favorite, then sell it back",
-            v_a_room0 + price,
-            transfer_received=price,
-        ),
+        StrategyBranch("generic-room", v_a_other),
+        StrategyBranch("honest-favorite", v_a_room0),
+        StrategyBranch("grab-and-resell", v_a_room0 + price, transfer_received=price),
     )
     best = max(branches, key=lambda b: b.payoff)
     return StrategyScenarioReport(

@@ -327,19 +327,17 @@ def optimal_offer(
     v2b: float,
     f1a: ValueDistribution,
     f1b: ValueDistribution,
-    *,
-    allow_equal_values: bool = False,
 ) -> OptimalOffer:
     """Maximize the offerer's expected payoff over nonnegative offers.
 
     The argmax over a 2001-point grid on [0, support width], then over 33
     offers between the best point's neighbours, until they lie within 1e-5 or
     stop narrowing (where 1e-5 is below an ulp); ties break toward the smallest
-    offer.  Requires a trade motive ``v2a > v2b`` (pass ``allow_equal_values``
-    to admit the boundary case, whose optimum is 0).
+    offer.  Requires ``v2a >= v2b``; at equal values the optimum is the zero
+    offer.
     """
     _require_finite("values", v2a, v2b)
-    if v2a < v2b or (v2a == v2b and not allow_equal_values):
+    if v2a < v2b:
         raise PreconditionError("no trade motive: the held item is already preferred")
     ts, accept = _offer_grid(f1a, f1b, _OFFER_GRID_POINTS)
     points, span = [], math.inf
@@ -366,26 +364,14 @@ def optimal_offer(
 class OfferDistribution:
     """Empirical law of the optimal offer, conditional on an offer being made.
 
+    ``offers`` holds one offer per draw that makes one, sorted ascending.
     ``no_offer_probability`` is the chance the second player already prefers
     the item they received (computed by quadrature, not from the draws).
     """
 
     offers: np.ndarray
     no_offer_probability: float
-    n_draws: int
     degenerate: bool
-
-    def cdf(self, s: float) -> float:
-        """P(offer < s), strict, among draws where an offer is made."""
-        if self.offers.size == 0:
-            return 0.0
-        return float(np.searchsorted(self.offers, s, side="left")) / self.offers.size
-
-    def tail_mean(self, threshold: float) -> float:
-        """Mean offer among offers >= threshold (0 when none)."""
-        idx = int(np.searchsorted(self.offers, threshold, side="left"))
-        tail = self.offers[idx:]
-        return float(tail.mean()) if tail.size else 0.0
 
 
 @lru_cache(maxsize=16)
@@ -461,7 +447,6 @@ def _offer_law(
     f1a: ValueDistribution,
     f1b: ValueDistribution,
     received_item: str,
-    n_draws: int,
 ) -> OfferDistribution:
     """Offer law of the holder of ``received_item``, from :func:`_sorted_gains`.
 
@@ -487,7 +472,6 @@ def _offer_law(
     return OfferDistribution(
         offers=offers,
         no_offer_probability=float(no_offer),
-        n_draws=n_draws,
         degenerate=gains.size == 0,
     )
 
@@ -510,7 +494,7 @@ def offer_distribution(
     if received_item not in ("A", "B"):
         raise ValueError("received_item must be 'A' or 'B'")
     gains = _sorted_gains(f2a, f2b, n_draws, seed)
-    return _offer_law(gains, f2a, f2b, f1a, f1b, received_item, n_draws)
+    return _offer_law(gains, f2a, f2b, f1a, f1b, received_item)
 
 
 @dataclass(frozen=True)
@@ -532,17 +516,20 @@ def _branch_eu(
     the payment).
     """
     theta = v_keep - v_other
-    t_short = offers.cdf(theta)
+    size = offers.offers.size
+    short = int(np.searchsorted(offers.offers, theta, side="left"))
+    tail = offers.offers[short:]
+    t_short = short / size if size else 0.0
+    tail_mean = float(tail.mean()) if tail.size else 0.0
     eu = offers.no_offer_probability * v_keep + (1.0 - offers.no_offer_probability) * (
-        t_short * v_keep + (1.0 - t_short) * (v_other + offers.tail_mean(theta))
+        t_short * v_keep + (1.0 - t_short) * (v_other + tail_mean)
     )
-    # Spread of the per-offer utility, scaled by the conditional sample size.
-    if offers.offers.size:
-        util = np.where(offers.offers < theta, v_keep, v_other + offers.offers)
-        se = float(util.std(ddof=1) / math.sqrt(offers.offers.size)) if util.size > 1 else 0.0
-    else:
-        se = 0.0
-    return float(eu), se
+    # Spread of the per-offer utility, scaled by the conditional sample size;
+    # a constant utility has no spread at all, not a rounding residue.
+    util = np.concatenate([np.full(short, float(v_keep)), v_other + tail])
+    if size < 2 or util.min() == util.max():
+        return float(eu), 0.0
+    return float(eu), float(util.std(ddof=1) / math.sqrt(size))
 
 
 def first_mover_expected_utility(
@@ -567,8 +554,8 @@ def first_mover_expected_utility(
     """
     _require_finite("values", v1a, v1b)
     gains = _sorted_gains(f2a, f2b, n_draws, seed)
-    offers_after_a = _offer_law(gains, f2a, f2b, f1a, f1b, "B", n_draws)
-    offers_after_b = _offer_law(gains, f2a, f2b, f1a, f1b, "A", n_draws)
+    offers_after_a = _offer_law(gains, f2a, f2b, f1a, f1b, "B")
+    offers_after_b = _offer_law(gains, f2a, f2b, f1a, f1b, "A")
     eu_a, se_a = _branch_eu(v1a, v1b, offers_after_a)
     eu_b, se_b = _branch_eu(v1b, v1a, offers_after_b)
     return FirstMoverResult(

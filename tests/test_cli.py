@@ -133,6 +133,26 @@ class TestDispatch:
         assert captured.out == ""
         assert flag[0] in captured.err and mechanism in captured.err
 
+
+    def test_cost_has_one_spelling_per_kind(self, capsys):
+        argv = ["mech", "run", "--mechanism", "expost-pairwise", "--scenario", "example-3.1",
+                "--order", "0,1", "--tau"]
+        code = dispatch(argv + ["proportional:0.1"])
+        err = capsys.readouterr().err
+        assert code == 3 and "Traceback" not in err and "error: " in err
+        code, payload = run_json(capsys, argv + ["prop:0.1"])
+        assert code == 0 and payload["fees"] != [0.0, 0.0]
+
+    def test_tau_none_runs_and_logs_zero_fees(self, capsys):
+        code, payload = run_json(
+            capsys,
+            ["mech", "run", "--mechanism", "expost-pairwise", "--scenario", "example-3.1",
+             "--order", "0,1", "--tau", "none"],
+        )
+        assert code == 0
+        assert [t["cost"] for t in payload["trade_log"]] == [0.0]
+        assert payload["fees"] == [0.0, 0.0]
+
     @pytest.mark.parametrize("mechanism", ["sd", "rsd", "rsd-ttc"])
     def test_budget_flag_is_accepted_where_no_money_moves(self, capsys, mechanism):
         code, payload = run_json(
@@ -263,6 +283,23 @@ class TestDispatch:
         assert code == 3 and captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
+    def test_equal_values_offer_zero(self, capsys):
+        code, payload = run_json(capsys, ["two-agent", "solve", "--v2a", "0.5", "--v2b", "0.5"])
+        assert code == 0 and payload["t_star"] == 0.0
+
+    @pytest.mark.parametrize("seed", ["1", "2", "3", "4"])
+    def test_first_mover_constant_branch_has_zero_se(self, capsys, seed):
+        # After pick A every offer falls short of 0.7 - 0.4, so the pick keeps
+        # 0.7 on every draw: no spread, and an SE of exactly 0.
+        code, payload = run_json(
+            capsys,
+            ["two-agent", "first-mover", "--dist", "truncnorm:0,1,0.6,0.2", "--v1a", "0.7",
+             "--v1b", "0.4", "--draws", "20000", "--seed", seed],
+        )
+        assert code == 0
+        assert (payload["eu_choose_a"], payload["se_choose_a"]) == (0.7, 0.0)
+        assert payload["se_choose_b"] > 0.0
+
     def test_first_mover(self, capsys):
         code, payload = run_json(
             capsys,
@@ -350,6 +387,16 @@ class TestSimCommands:
         code = dispatch(["sim", "housing", "--agents", "10", "--reps", "1", "--tau", tau])
         err = capsys.readouterr().err
         assert code == 3 and "Traceback" not in err and "error: " in err
+
+    def test_wealth_has_one_powerlaw_spelling(self, capsys, tmp_path):
+        # 100 groups of 10 match the 1,000 agents: only the spelling differs.
+        argv = ["sim", "housing", "--agents", "1000", "--reps", "1", "--seed", "1"]
+        code = dispatch(argv + ["--wealth", "power-law:100,1.1,10", "--out", str(tmp_path / "a")])
+        err = capsys.readouterr().err
+        assert code == 3 and "Traceback" not in err and "error: " in err
+        code = dispatch(argv + ["--wealth", "powerlaw:100,1.1,10", "--out", str(tmp_path / "b")])
+        capsys.readouterr()
+        assert code == 0 and (tmp_path / "b" / "report.json").is_file()
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_nonpositive_threads_is_exit_3(self, capsys, tmp_path, threads):

@@ -250,14 +250,12 @@ class TestTaxIncidence:
 class TestSmallTauBound:
     def test_paired_market_headroom(self):
         inst = get_scenario("example-3.1").instance
-        bound = small_tau_bound(inst, Allocation((0, 1)))
-        assert bound.has_feasible_trade and bound.gamma_star == 8.0
+        assert small_tau_bound(inst, Allocation((0, 1))) == 8.0
 
     def test_stable_market_is_unbounded(self):
         sc = get_scenario("example-4.1")
         alloc = Allocation((2, 0, 1))
-        bound = small_tau_bound(sc.instance, alloc)
-        assert not bound.has_feasible_trade and np.isinf(bound.gamma_star)
+        assert small_tau_bound(sc.instance, alloc) == np.inf
 
     def test_half_headroom_preserves_swaps(self):
         from rsd_market.mechanisms import NO_COST, pairwise_aftermarket
@@ -270,10 +268,10 @@ class TestSmallTauBound:
             surplus_split=0.0, pairwise_mode="single-pass", budget_enforced=False
         )
         bound = small_tau_bound(inst, endow, order, policy)
-        assert bound.has_feasible_trade
+        assert bound < np.inf
         _, _, base_log = pairwise_aftermarket(inst, endow, order, policy, NO_COST)
         _, _, taxed_log = pairwise_aftermarket(
-            inst, endow, order, policy, TransactionCost("fixed", bound.gamma_star / 2)
+            inst, endow, order, policy, TransactionCost("fixed", bound / 2)
         )
         base = [(r.proposer, r.counterparty, r.item_acquired) for r in base_log]
         taxed = [(r.proposer, r.counterparty, r.item_acquired) for r in taxed_log]

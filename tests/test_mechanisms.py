@@ -426,11 +426,17 @@ class TestTransactionCosts:
             parse_cost("fixed:nan")
 
     def test_parse_specs(self):
-        assert parse_cost("none") == NO_COST
+        assert parse_cost("none") == NO_COST == TransactionCost("fixed", 0.0)
         assert parse_cost("fixed:3.5") == TransactionCost("fixed", 3.5)
         assert parse_cost("prop:0.1") == TransactionCost("proportional", 0.1)
-        with pytest.raises(ValueError):
-            parse_cost("fixed")
+        for spec in ("fixed", "proportional:0.1", "none:0"):
+            with pytest.raises(ValueError):
+                parse_cost(spec)
+
+    def test_no_cost_kind_is_gone(self):
+        # "No fee" is a fixed fee of 0; only the CLI spells it "none".
+        with pytest.raises(ValueError, match="unknown transaction cost kind"):
+            TransactionCost("none")
 
     def test_fee_is_a_python_float(self):
         # An int amount must not change the logged cost's type.
@@ -629,7 +635,7 @@ class TestStrategicScenario:
     def test_buyer_optimal_split_still_weakly_dominant(self):
         report = strategic_rsd_counterexample(0.0)
         assert report.branches[2].payoff == 20.0
-        assert report.manipulation_pays
+        assert report.manipulation_gain == 0.0
 
     def test_manipulation_grows_with_split(self):
         gains = [strategic_rsd_counterexample(k / 10).manipulation_gain for k in range(11)]
