@@ -31,19 +31,24 @@ import numpy as np
 from . import equilibrium, housing, market, mechanisms, scenarios, suite, two_agent
 from .errors import InternalInvariantError
 
-SCHEMA_VERSION = market.SCHEMA_VERSION
 
-
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+def _emit(payload: dict, path: Path | None = None) -> None:
+    """Print ``payload`` as JSON, or write it to ``path``, ``schema_version`` first."""
+    text = json.dumps({"schema_version": market.SCHEMA_VERSION, **payload}, indent=2)
+    if path is None:
+        print(text)
+    else:
+        path.write_text(text + "\n")
 
 
 def _resolve_seed(seed: int | None) -> int:
-    if seed is not None:
-        return seed
     env = os.environ.get("RSD_MARKET_SEED")
-    if env:
-        return int(env)
+    if seed is None and env:
+        seed = int(env)
+    if seed is not None:
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
+        return seed
     generated = secrets.randbits(48)
     print(f"note: no seed given; using generated seed {generated}", file=sys.stderr)
     return generated
@@ -73,7 +78,8 @@ def _allocation_json(allocation: market.Allocation) -> list[int | None]:
 
 def _cmd_mech_run(args: argparse.Namespace) -> int:
     name = args.mechanism
-    if args.tau != "none" and name != "expost-pairwise":
+    cost = mechanisms.parse_cost(args.tau)
+    if cost.amount > 0 and name != "expost-pairwise":
         raise ValueError(f"--tau applies only to expost-pairwise, not to {name}")
     if args.budget_enforced == "on" and name == "expost-ce":
         raise ValueError("--budget-enforced does not apply to expost-ce")
@@ -84,7 +90,6 @@ def _cmd_mech_run(args: argparse.Namespace) -> int:
         pairwise_mode=args.mode,
         budget_enforced=args.budget_enforced == "on",
     )
-    cost = mechanisms.parse_cost(args.tau)
 
     seed_used: int | None = None
     if args.order:
@@ -109,14 +114,12 @@ def _cmd_mech_run(args: argparse.Namespace) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown mechanism {name!r}")
 
-    atol = 0.0 if args.numeric_mode == "integer" else None
-    problems = market.validate_outcome(instance, outcome, atol=atol)
+    problems = market.validate_outcome(instance, outcome)
     if problems:
         raise InternalInvariantError("; ".join(problems))
 
     _emit(
         {
-            "schema_version": SCHEMA_VERSION,
             "mechanism": name,
             "order": list(order),
             "seed": seed_used,
@@ -167,7 +170,6 @@ def _cmd_equilibrium_solve(args: argparse.Namespace) -> int:
     transfers = equilibrium.transfers_from_prices(endowment, allocation, prices)
     _emit(
         {
-            "schema_version": SCHEMA_VERSION,
             "allocation": _allocation_json(allocation),
             "endowment": _allocation_json(endowment),
             "prices": [float(p) for p in prices.prices],
@@ -186,7 +188,6 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     solver_welfare = market.total_welfare(instance, solver_alloc)
     _emit(
         {
-            "schema_version": SCHEMA_VERSION,
             "optimal_welfare": brute_welfare,
             "optimal_allocation": _allocation_json(brute_alloc),
             "solver_welfare": solver_welfare,
@@ -213,7 +214,6 @@ def _cmd_two_agent_solve(args: argparse.Namespace) -> int:
     f2a, f2b = _dist(args, "2a"), _dist(args, "2b")
     offer = two_agent.optimal_offer(args.v2a, args.v2b, f1a, f1b)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "t_star": offer.t_star,
         "expected_payoff": offer.expected_payoff,
         "acceptance_probability": offer.acceptance,
@@ -231,7 +231,7 @@ def _cmd_two_agent_solve(args: argparse.Namespace) -> int:
             "offer_quartiles": (
                 [float(q) for q in np.percentile(offers, [25, 50, 75])] if offers.size else None
             ),
-            "degenerate": dist.degenerate,
+            "degenerate": offers.size == 0,
         }
     _emit(payload)
     return 0
@@ -251,7 +251,6 @@ def _cmd_two_agent_first_mover(args: argparse.Namespace) -> int:
     )
     _emit(
         {
-            "schema_version": SCHEMA_VERSION,
             "seed": seed,
             "draws": args.draws,
             "eu_choose_a": result.eu_choose_a,
@@ -308,7 +307,6 @@ def _cmd_sim_housing(args: argparse.Namespace) -> int:
     )
     counts, edges = batch.pooled_histogram()
     report = {
-        "schema_version": SCHEMA_VERSION,
         "master_seed": seed,
         "n_agents": config.n_agents,
         "wealth": args.wealth,
@@ -326,10 +324,9 @@ def _cmd_sim_housing(args: argparse.Namespace) -> int:
             "edges": [float(e) for e in edges],
         },
     }
-    (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    _emit(report, out / "report.json")
     _emit(
         {
-            "schema_version": SCHEMA_VERSION,
             "out_dir": str(out),
             "files": ["report.json", "deltas.csv", "trades.csv"],
             "master_seed": seed,
@@ -357,7 +354,6 @@ def _cmd_sim_sweep(args: argparse.Namespace) -> int:
     )
     _emit(
         {
-            "schema_version": SCHEMA_VERSION,
             "out_dir": str(out),
             "files": ["sweep.csv"],
             "seed": seed,
@@ -381,7 +377,6 @@ def _cmd_paper_suite(args: argparse.Namespace) -> int:
     results = suite.run_paper_suite(only=only, skip=skip)
     if args.out:
         payload = {
-            "schema_version": SCHEMA_VERSION,
             "results": [
                 {
                     "id": r.cid,
@@ -393,7 +388,7 @@ def _cmd_paper_suite(args: argparse.Namespace) -> int:
                 for r in results
             ],
         }
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+        _emit(payload, Path(args.out))
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -439,13 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="clamp seller reservations at zero")
     run.add_argument("--mode", choices=["fixed-point", "single-pass"], default="fixed-point")
     run.add_argument("--tau", default="none",
-                     help="transaction cost: none|fixed:X|prop:R (expost-pairwise only)")
+                     help="transaction cost: none|fixed:X|prop:R; nonzero: expost-pairwise only")
     run.add_argument("--agent-model", choices=["myopic", "lookback-strategic"],
                      default="lookback-strategic")
     run.add_argument("--budget-enforced", choices=["on", "off"], default="off",
                      help="no trader pays more cash than it holds "
                      "(expost-pairwise and interim; sd, rsd and rsd-ttc move no money)")
-    run.add_argument("--numeric-mode", choices=["integer", "real"], default="real")
     run.set_defaults(handler=_cmd_mech_run)
 
     eq = sub.add_parser("equilibrium", help="assignment-market equilibrium").add_subparsers(

@@ -112,7 +112,6 @@ class HousingInstance:
     market: MarketInstance
     means: np.ndarray
     variances: np.ndarray
-    seed: int
 
 
 def generate_instance(config: SimConfig, seed: int) -> HousingInstance:
@@ -135,7 +134,6 @@ def generate_instance(config: SimConfig, seed: int) -> HousingInstance:
         market=MarketInstance(valuations=backend, budgets=budgets),
         means=means,
         variances=variances,
-        seed=seed,
     )
 
 

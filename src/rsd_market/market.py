@@ -489,9 +489,9 @@ def validate_outcome(
 ) -> list[str]:
     """Check all outcome invariants; returns a list of violations (empty = ok).
 
-    ``atol`` bounds the allowed deviation of the transfer sum from zero; pass 0
-    for integer-dollar instances, or leave ``None`` for the real-mode default
-    of ``1e-9 * n_agents``.
+    ``atol`` bounds the allowed deviation of the transfer sum from zero;
+    ``None`` means ``1e-9 * n_agents``.  An exact check (0) fails on valid
+    integer markets whose prices split a surplus inexactly, e.g. at 0.3.
     """
     if atol is None:
         atol = 1e-9 * instance.n_agents

@@ -113,7 +113,7 @@ def trade_log_soundness(
 # ---------------------------------------------------------------------------
 
 
-def criterion_01(check: _Check, shared: dict) -> None:
+def criterion_01(check: _Check) -> None:
     """Two-agent paid-swap scenario: picks, equilibrium transfers, CE point."""
     sc = scenarios.get_scenario("example-3.1")
     inst = sc.instance
@@ -140,7 +140,7 @@ def criterion_01(check: _Check, shared: dict) -> None:
     )
 
 
-def criterion_02(check: _Check, shared: dict) -> None:
+def criterion_02(check: _Check) -> None:
     """Bilateral dead end: stable yet four units below the optimum."""
     sc = scenarios.get_scenario("example-4.1")
     inst = sc.instance
@@ -159,7 +159,7 @@ def criterion_02(check: _Check, shared: dict) -> None:
     check.expect(best == 14.0, f"enumerated optimum {best} != 14")
 
 
-def criterion_03(check: _Check, shared: dict) -> None:
+def criterion_03(check: _Check) -> None:
     """Sequential transfers: the miss and the one-trade rescue."""
     miss = scenarios.get_scenario("example-5.1")
     _, miss_opt = equilibrium.brute_force_optimal(miss.instance)
@@ -189,7 +189,7 @@ def criterion_03(check: _Check, shared: dict) -> None:
             )
 
 
-def criterion_04(check: _Check, shared: dict) -> None:
+def criterion_04(check: _Check) -> None:
     """Manipulation premium: 20 + split * 190, dominant at every split."""
     for k in range(11):
         lam = k / 10
@@ -213,7 +213,7 @@ def criterion_04(check: _Check, shared: dict) -> None:
     check.note("resale transfer at 0.5 split: 95")
 
 
-def criterion_05(check: _Check, shared: dict) -> None:
+def criterion_05(check: _Check) -> None:
     """Equilibrium transfers hit the enumerated optimum on 500 random markets."""
     rng = np.random.default_rng(20240517)
     welfare_ok = prices_ok = 0
@@ -237,7 +237,7 @@ def criterion_05(check: _Check, shared: dict) -> None:
     check.note(f"{welfare_ok}/{trials} optimal, {prices_ok}/{trials} price-supported")
 
 
-def criterion_06(check: _Check, shared: dict) -> None:
+def criterion_06(check: _Check) -> None:
     """Cycle trading after truthful picks never trades (200 random markets)."""
     rng = np.random.default_rng(61803)
     ok = 0
@@ -253,7 +253,7 @@ def criterion_06(check: _Check, shared: dict) -> None:
     check.note(f"{ok}/{trials} identity reallocations")
 
 
-def criterion_07(check: _Check, shared: dict) -> None:
+def criterion_07(check: _Check) -> None:
     """Identical preferences collapse bilateral trading to plain picks."""
     rng = np.random.default_rng(1729)
     ok = 0
@@ -275,7 +275,7 @@ def criterion_07(check: _Check, shared: dict) -> None:
     check.note(f"{ok}/{trials} exact matches, zero trades")
 
 
-def criterion_08(check: _Check, shared: dict) -> None:
+def criterion_08(check: _Check) -> None:
     """Every logged trade is mutually beneficial and the result dominates the
     pre-trade state: bilateral, sequential, and simulated aftermarkets."""
     rng = np.random.default_rng(4242)
@@ -316,7 +316,7 @@ def criterion_08(check: _Check, shared: dict) -> None:
     check.note(f"{examined} logged trades checked")
 
 
-def criterion_09(check: _Check, shared: dict) -> None:
+def criterion_09(check: _Check) -> None:
     """When one-swap correction stays feasible, lookahead play is optimal."""
     rng = np.random.default_rng(5151)
     # Gain-aligned bargaining, matching the feasibility check's assumptions:
@@ -342,7 +342,7 @@ def criterion_09(check: _Check, shared: dict) -> None:
     check.note(f"{found} feasible instances out of {attempts} sampled; {matched} optimal")
 
 
-def criterion_10(check: _Check, shared: dict) -> None:
+def criterion_10(check: _Check) -> None:
     """Two-player bargaining: closed form, boundary offer, monotone offers,
     and the first-mover decomposition against a direct game rollout."""
     u = two_agent.Uniform(0.0, 1.0)
@@ -382,7 +382,7 @@ def criterion_10(check: _Check, shared: dict) -> None:
         check.note(f"choice {choice}: {eu:.5f} vs {sim_eu:.5f} (3se tol {tol:.5f})")
 
 
-def criterion_11(check: _Check, shared: dict) -> None:
+def criterion_11(check: _Check) -> None:
     """Fee-split irrelevance, and small fees leaving the swap set unchanged."""
     rng = np.random.default_rng(9090)
     incidence_ok = 0
@@ -433,11 +433,8 @@ def criterion_11(check: _Check, shared: dict) -> None:
 _DESK_MASTER_SEED = 20240612
 
 
-def criterion_12(check: _Check, shared: dict) -> None:
-    """Desk-scale welfare experiment: positive gains, (almost) no losers.
-
-    Stores its batch in ``shared["desk_batch"]`` for C14 to reuse.
-    """
+def criterion_12(check: _Check) -> None:
+    """Desk-scale welfare experiment: positive gains, (almost) no losers."""
     # scipy.stats costs about 0.5 s and 20 MB to import; only C12 and C13 use it.
     from scipy import stats as scipy_stats
 
@@ -457,10 +454,9 @@ def criterion_12(check: _Check, shared: dict) -> None:
     check.note(f"mean gain {batch.mean_gain:,.0f}, median {batch.median_gain:,.0f}")
     check.note(f"transfer-stage losers: {stage_neg:.4%}; vs truthful-pick arm: {two_arm_neg:.4%}")
     check.note(f"nonzero-delta skewness {skew:+.3f} (left skew reported, not asserted)")
-    shared["desk_batch"] = batch
 
 
-def criterion_13(check: _Check, shared: dict) -> None:
+def criterion_13(check: _Check) -> None:
     """Wealth ladder: gains rise with budget and bend logarithmically."""
     # scipy.stats costs about 0.5 s and 20 MB to import; only C12 and C13 use it.
     from scipy import stats as scipy_stats
@@ -503,11 +499,11 @@ def criterion_13(check: _Check, shared: dict) -> None:
             )
 
 
-def criterion_14(check: _Check, shared: dict) -> None:
+def criterion_14(check: _Check) -> None:
     """Friction sweep: gains fade monotonically and die past the bound.
 
-    Compares against C12's batch when this run made one, else runs its first
-    replication alone.
+    The zero-fee row must equal a plain run on the same seed, which is C12's
+    first replication.
     """
     cfg = housing.SimConfig(n_agents=1000)
     seed = market.derive_seed(_DESK_MASTER_SEED, 0)
@@ -516,10 +512,7 @@ def criterion_14(check: _Check, shared: dict) -> None:
     taus = [0.0, 5.0, 10.0, 20.0, 40.0, 60.0, 90.0, 150.0, 300.0, 1000.0, bound]
     rows = housing.transaction_cost_sweep(cfg, taus, seed, kind="fixed")
 
-    desk_batch = shared.get("desk_batch")
-    if desk_batch is None:
-        desk_batch = housing.batch_run(cfg, 1, master_seed=_DESK_MASTER_SEED)
-    baseline_gain = desk_batch.reports[0].total_gain
+    baseline_gain = housing.run_housing_sim(cfg, seed).total_gain
     check.expect(
         rows[0].total_gain == baseline_gain,
         f"zero-friction gain {rows[0].total_gain!r} != welfare run {baseline_gain!r}",
@@ -537,7 +530,7 @@ def criterion_14(check: _Check, shared: dict) -> None:
     check.note(f"trades along sweep: {[r.trades for r in rows]}")
 
 
-def criterion_15(check: _Check, shared: dict) -> None:
+def criterion_15(check: _Check) -> None:
     """Full-scale replication: fast, lean, and bit-for-bit reproducible."""
     cfg = housing.SimConfig(n_agents=10_000)
     tracemalloc.start()
@@ -572,7 +565,7 @@ def criterion_15(check: _Check, shared: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-_CRITERIA: list[tuple[str, str, Callable[[_Check, dict], None]]] = [
+_CRITERIA: list[tuple[str, str, Callable[[_Check], None]]] = [
     ("C01", "paid swap beats plain picks and is a valid equilibrium point", criterion_01),
     ("C02", "bilateral trading can stall below the optimum", criterion_02),
     ("C03", "sequential transfers miss, then a latecomer rescues", criterion_03),
@@ -603,9 +596,9 @@ def run_paper_suite(
 ) -> list[CriterionResult]:
     """Run the acceptance criteria in order, one summary line each.
 
-    Criteria share one dict per run, through which a later criterion can
-    reuse an earlier one's work.  An id in ``only`` or ``skip`` that names no
-    criterion raises ``ValueError`` before anything runs.
+    Each criterion runs on its own, so its result does not depend on which
+    others ran.  An id in ``only`` or ``skip`` that names no criterion raises
+    ``ValueError`` before anything runs.
     """
     wanted = set(only) if only else None
     skipped = set(skip) if skip else set()
@@ -613,13 +606,12 @@ def run_paper_suite(
     if unknown:
         raise ValueError(f"unknown criterion ids: {', '.join(map(repr, unknown))}")
     results = []
-    shared: dict = {}
     for cid, title, fn in _CRITERIA:
         if (wanted is not None and cid not in wanted) or cid in skipped:
             continue
         check = _Check()
         t0 = time.perf_counter()
-        fn(check, shared)
+        fn(check)
         elapsed = time.perf_counter() - t0
         result = CriterionResult(
             cid=cid,

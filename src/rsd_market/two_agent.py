@@ -371,7 +371,6 @@ class OfferDistribution:
 
     offers: np.ndarray
     no_offer_probability: float
-    degenerate: bool
 
 
 @lru_cache(maxsize=16)
@@ -469,11 +468,7 @@ def _offer_law(
         offers = np.repeat(envelope_offers, counts)
     else:
         offers = np.array([])
-    return OfferDistribution(
-        offers=offers,
-        no_offer_probability=float(no_offer),
-        degenerate=gains.size == 0,
-    )
+    return OfferDistribution(offers=offers, no_offer_probability=float(no_offer))
 
 
 def offer_distribution(

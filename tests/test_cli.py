@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rsd_market.cli import dispatch
@@ -64,6 +64,20 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not valid JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestDispatch:
     def test_mech_run_scenario(self, capsys):
         code, payload = run_json(
@@ -82,7 +96,7 @@ class TestDispatch:
         code, payload = run_json(
             capsys,
             ["mech", "run", "--mechanism", "expost-ce", "--instance", str(path),
-             "--order", "0,1", "--numeric-mode", "integer"],
+             "--order", "0,1"],
         )
         assert code == 0
         assert payload["allocation"] == [1, 0]
@@ -121,6 +135,7 @@ class TestDispatch:
         [
             ("interim", ["--tau", "fixed:40"]),
             ("sd", ["--tau", "prop:0.1"]),
+            ("sd", ["--tau", "fixed:0.5"]),
             ("expost-ce", ["--tau", "fixed:1"]),
             ("expost-ce", ["--budget-enforced", "on"]),
         ],
@@ -133,6 +148,21 @@ class TestDispatch:
         assert captured.out == ""
         assert flag[0] in captured.err and mechanism in captured.err
 
+    @pytest.mark.parametrize("mechanism", ["sd", "interim", "expost-ce"])
+    @pytest.mark.parametrize("tau", ["fixed:0", "prop:0"])
+    def test_fee_that_charges_nothing_runs_as_none(self, mechanism, tau):
+        # A fee is refused by what it charges, not by how it is spelled.
+        argv = ["mech", "run", "--mechanism", mechanism, "--scenario", "example-5.2", "--tau"]
+        code, out, err = _run_captured(argv + [tau])
+        assert (code, err) == (0, "")
+        assert (code, out, err) == _run_captured(argv + ["none"])
+
+    def test_numeric_mode_is_a_usage_error(self):
+        code, out, err = _run_captured(
+            ["mech", "run", "--mechanism", "sd", "--scenario", "example-3.1", "--order", "0,1",
+             "--numeric-mode", "integer"]
+        )
+        assert code == 2 and out == "" and "--numeric-mode" in err
 
     def test_cost_has_one_spelling_per_kind(self, capsys):
         argv = ["mech", "run", "--mechanism", "expost-pairwise", "--scenario", "example-3.1",
@@ -343,6 +373,31 @@ class TestDispatch:
         assert code == 0
         assert payload["seed"] == 424242
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mech", "run", "--mechanism", "rsd", "--scenario", "example-3.1"],
+            ["two-agent", "solve", "--v2a", "0.9", "--v2b", "0.4", "--draws", "100"],
+            ["two-agent", "first-mover", "--v1a", "0.7", "--v1b", "0.4", "--draws", "100"],
+            ["sim", "housing", "--agents", "20"],
+            ["sim", "sweep", "--agents", "20", "--tau-list", "0,10"],
+        ],
+        ids=["mech-run", "two-agent-solve", "first-mover", "sim-housing", "sim-sweep"],
+    )
+    def test_negative_seed_is_exit_3(self, tmp_path, monkeypatch, argv, source):
+        out_dir = tmp_path / "out"
+        if argv[0] == "sim":
+            argv = [*argv, "--out", str(out_dir)]
+        if source == "flag":
+            argv = [*argv, "--seed", "-1"]
+        else:
+            monkeypatch.setenv("RSD_MARKET_SEED", "-1")
+        code, out, err = _run_captured(argv)
+        assert (code, out) == (3, "")
+        assert err == "error: seed must be nonnegative, got -1\n"
+        assert not out_dir.exists()
+
     def test_generated_seed_is_logged(self, capsys, monkeypatch):
         monkeypatch.delenv("RSD_MARKET_SEED", raising=False)
         code = dispatch(
@@ -454,6 +509,43 @@ class TestSuiteRunner:
         assert captured.out == ""  # nothing ran, not even the known C01
         assert all(cid in captured.err for cid in named)
 
+    def test_criteria_share_no_state(self):
+        from rsd_market import suite
+
+        alone = suite.run_criterion("C14")
+        after_c12 = suite.run_paper_suite(only=["C12", "C14"], printer=lambda line: None)
+        assert [r.cid for r in after_c12] == ["C12", "C14"]
+        assert alone.passed and after_c12[1].passed
+        assert after_c12[1].details == alone.details
+
+
+class TestJsonOutputs:
+    def test_schema_version_comes_first(self, tmp_path):
+        runs = [
+            ["mech", "run", "--mechanism", "sd", "--scenario", "example-3.1", "--order", "0,1"],
+            ["equilibrium", "solve", "--scenario", "example-4.1"],
+            ["oracle", "check", "--scenario", "example-4.1"],
+            ["two-agent", "solve", "--v2a", "0.9", "--v2b", "0.4", "--draws", "100", "--seed", "1"],
+            ["two-agent", "first-mover", "--v1a", "0.7", "--v1b", "0.4", "--draws", "100",
+             "--seed", "1"],
+            ["sim", "housing", "--agents", "20", "--seed", "1", "--out", str(tmp_path / "h")],
+            ["sim", "sweep", "--agents", "20", "--seed", "1", "--tau-list", "0,10",
+             "--out", str(tmp_path / "s")],
+        ]
+        documents = []
+        for argv in runs:
+            code, out, _ = _run_captured(argv)
+            assert code == 0, argv
+            documents.append(out)
+        suite_path = tmp_path / "suite.json"
+        assert _run_captured(["paper-suite", "--only", "C04", "--out", str(suite_path)])[0] == 0
+        for path in (tmp_path / "h" / "report.json", suite_path):
+            text = path.read_text()
+            assert text.endswith("}\n") and not text.endswith("\n\n")
+            documents.append(text)
+        for text in documents:
+            assert list(_strict_json(text))[0] == "schema_version"
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, tmp_path):
@@ -522,10 +614,8 @@ json_values = st.recursive(
 
 
 def _run_quietly(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = dispatch(argv)
-    return code, err.getvalue()
+    code, _, err = _run_captured(argv)
+    return code, err
 
 
 def _write(directory, name, content):
@@ -704,3 +794,70 @@ class TestMalformedFiles:
     def test_fuzzed_config(self, fuzz_dir, content):
         code, err = _solve_config(fuzz_dir, content)
         assert code == 3 and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# Valid ``mech run`` input: exit 0, or 3 for a setting the mechanism cannot
+# apply; never 4
+# ---------------------------------------------------------------------------
+
+MECHANISMS = ["sd", "rsd", "rsd-ttc", "expost-ce", "expost-pairwise", "interim"]
+CHARGING_FEES = {"fixed:2", "prop:0.2"}
+
+# Integer values at a 0.3 split give prices whose transfers cancel only to
+# within a few ulps, so an exact transfer-sum check would reject this market.
+INEXACT_SPLIT_MARKET = [[12, 4, 10, 11], [20, 11, 4, 2], [14, 20, 11, 2], [0, 16, 6, 10]]
+
+
+@st.composite
+def mech_run_cases(draw):
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        row = st.lists(st.integers(-10, 50), min_size=n, max_size=n)
+        values = draw(st.lists(row, min_size=n, max_size=n))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        values = rng.normal(100.0, 30.0, size=(n, n)).tolist()
+    budgets = draw(st.lists(st.integers(0, 100), min_size=n, max_size=n))
+    flags = {
+        "--mechanism": draw(st.sampled_from(MECHANISMS)),
+        "--lambda": draw(st.sampled_from(["0", "0.3", "0.5", "1"])),
+        "--floor": draw(st.sampled_from(["on", "off"])),
+        "--mode": draw(st.sampled_from(["fixed-point", "single-pass"])),
+        "--budget-enforced": draw(st.sampled_from(["on", "off"])),
+        "--tau": draw(st.sampled_from(["none", "fixed:0", "prop:0", "fixed:2", "prop:0.2"])),
+        "--agent-model": draw(st.sampled_from(["myopic", "lookback-strategic"])),
+    }
+    if flags["--mechanism"] == "rsd":
+        flags["--seed"] = str(draw(st.integers(0, 2**32 - 1)))
+    else:
+        flags["--order"] = ",".join(map(str, draw(st.permutations(range(n)))))
+    return values, budgets, flags
+
+
+def _inexact_split_case(mechanism):
+    flags = {"--mechanism": mechanism, "--order": "0,1,2,3", "--lambda": "0.3"}
+    return INEXACT_SPLIT_MARKET, [0, 0, 0, 0], flags
+
+
+class TestValidMechRunInput:
+    @settings(max_examples=60, deadline=None)
+    @example(case=_inexact_split_case("expost-pairwise"))
+    @example(case=_inexact_split_case("interim"))
+    @given(case=mech_run_cases())
+    def test_exit_code_depends_only_on_the_settings(self, fuzz_dir, case):
+        values, budgets, flags = case
+        n = len(values)
+        path = _write(fuzz_dir, "mech.json",
+                      {"n_agents": n, "n_items": n, "valuations": values, "budgets": budgets})
+        argv = ["mech", "run", "--instance", path]
+        for flag, value in flags.items():
+            argv += [flag, value]
+        mechanism = flags["--mechanism"]
+        refused = (
+            flags.get("--tau") in CHARGING_FEES and mechanism != "expost-pairwise"
+        ) or (flags.get("--budget-enforced") == "on" and mechanism == "expost-ce")
+        code, out, err = _run_captured(argv)
+        assert code == (3 if refused else 0), err
+        if not refused:
+            assert abs(sum(_strict_json(out)["transfers"])) <= 1e-9 * n
