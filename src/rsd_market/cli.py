@@ -282,7 +282,7 @@ def _cmd_sim_housing(args: argparse.Namespace) -> int:
         wealth=housing.parse_wealth(args.wealth),
         cost=mechanisms.parse_cost(args.tau),
     )
-    batch = housing.batch_run(config, args.reps, seed, parallelism=args.threads)
+    batch = housing.batch_run(config, args.reps, seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -487,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="equal:AMOUNT or powerlaw:GROUPS,BASE,PER_GROUP")
     sh.add_argument("--tau", default="none", help="transaction cost: none|fixed:X|prop:R")
     sh.add_argument("--reps", type=int, default=1)
-    sh.add_argument("--threads", type=int, default=1)
     sh.add_argument("--out", default="housing_out")
     sh.set_defaults(handler=_cmd_sim_housing)
 

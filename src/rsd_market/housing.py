@@ -15,7 +15,6 @@ a full matrix, and are bit-identical for a given seed.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Literal, Sequence
 
@@ -316,7 +315,7 @@ def run_housing_sim(config: SimConfig, seed: int) -> SimReport:
 
 @dataclass(frozen=True)
 class BatchReport:
-    """Replications merged in index order, so parallelism cannot change results."""
+    """Replications in index order."""
 
     reports: tuple[SimReport, ...]
 
@@ -361,18 +360,15 @@ class BatchReport:
 def batch_run(
     config: SimConfig, n_reps: int, master_seed: int, parallelism: int = 1
 ) -> BatchReport:
-    """Independent replications on derived seeds, aggregated deterministically."""
+    """Independent replications on derived seeds, run one after another in index order.
+
+    ``parallelism`` no longer changes how they run; it goes with the benchmark's next change."""
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    seeds = [derive_seed(master_seed, r) for r in range(n_reps)]
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            reports = list(pool.map(lambda s: run_housing_sim(config, s), seeds))
-    else:
-        reports = [run_housing_sim(config, s) for s in seeds]
-    return BatchReport(reports=tuple(reports))
+    seeds = (derive_seed(master_seed, r) for r in range(n_reps))
+    return BatchReport(reports=tuple(run_housing_sim(config, s) for s in seeds))
 
 
 @dataclass(frozen=True)

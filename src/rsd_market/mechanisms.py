@@ -433,13 +433,14 @@ def interim_transfers(
     assignment = np.full(m, -1, dtype=np.int64)
     available = np.ones(n, dtype=bool)
     transfers = np.zeros(m)
+    favorites = np.zeros(m, dtype=np.int64)
     log: list[TradeRecord] = []
 
     for turn, j in enumerate(order_t):
         if not np.any(available):
             break
         row = values[j]
-        favorite = int(np.argmax(np.where(available, row, -np.inf)))
+        favorite = favorites[j] = int(np.argmax(np.where(available, row, -np.inf)))
         pick = kept = favorite
         # Every earlier picker holds an item: picking stops once items run out.
         earlier = np.asarray(order_t[:turn], dtype=np.int64)
@@ -449,8 +450,11 @@ def interim_transfers(
                 lures = np.full(earlier.size, favorite)
             else:
                 # Picking what the predecessor likes best maximizes both the
-                # proposer's bargaining position and the joint gain.
-                lures = np.argmax(np.where(available, values[earlier], -np.inf), axis=1)
+                # proposer's bargaining position and the joint gain.  That
+                # favorite changes only once taken, so only those are re-read.
+                stale = earlier[~available[favorites[earlier]]]
+                favorites[stale] = np.argmax(np.where(available, values[stale], -np.inf), axis=1)
+                lures = favorites[earlier]
             ceiling = row[held] - row[lures]
             feasible, price = bilateral_price(
                 values[earlier, held] - values[earlier, lures], ceiling, policy

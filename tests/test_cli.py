@@ -286,6 +286,19 @@ class TestDispatch:
         assert captured.out == ""
         assert "no supporting prices" in captured.err
 
+    def test_expost_ce_without_supporting_prices_is_exit_3(self, capsys, tmp_path):
+        # Agent 1 would pay 23 more for item 0, and agent 0 would give it up
+        # for the unpicked item 1, which is free: no prices support the picks.
+        inst = tmp_path / "m.json"
+        inst.write_text(json.dumps(
+            {"n_agents": 2, "n_items": 4, "valuations": [[16, 14, -10, 9], [42, 16, 19, -5]]}
+        ))
+        code = dispatch(["mech", "run", "--mechanism", "expost-ce", "--instance", str(inst),
+                         "--order", "0,1"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and "Traceback" not in captured.err
+        assert "no supporting prices exist with unpicked items pinned at zero" in captured.err
+
     def test_two_agent_solve(self, capsys):
         code, payload = run_json(
             capsys, ["two-agent", "solve", "--v2a", "0.9", "--v2b", "0.1"]
@@ -453,12 +466,12 @@ class TestSimCommands:
         capsys.readouterr()
         assert code == 0 and (tmp_path / "b" / "report.json").is_file()
 
-    @pytest.mark.parametrize("threads", ["0", "-1"])
-    def test_nonpositive_threads_is_exit_3(self, capsys, tmp_path, threads):
-        code = dispatch(["sim", "housing", "--agents", "20", "--reps", "1", "--seed", "1",
-                         "--threads", threads, "--out", str(tmp_path / "out")])
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_nonpositive_reps_is_exit_3(self, capsys, tmp_path, reps):
+        code = dispatch(["sim", "housing", "--agents", "20", "--reps", reps, "--seed", "1",
+                         "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
-        assert code == 3 and "Traceback" not in err and "error: " in err
+        assert code == 3 and "Traceback" not in err and "error: n_reps must be >= 1" in err
         assert not (tmp_path / "out").exists()
 
     def test_sweep_outputs(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Housing-market simulation: generation, arms, aftermarket, frictions."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -192,6 +193,15 @@ class TestBatch:
         for a, b in zip(serial.reports, threaded.reports):
             assert np.array_equal(a.delta, b.delta)
             assert a.trades == b.trades
+
+    def test_batch_starts_no_thread(self, desk_config, monkeypatch):
+        # Replications run on the calling thread: a traced run sees every span.
+        def refuse(self):
+            raise AssertionError("batch_run started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        batch = batch_run(desk_config, 2, master_seed=7, parallelism=2)
+        assert batch.n_reps == 2
 
     @pytest.mark.parametrize("parallelism", [0, -1])
     def test_nonpositive_parallelism_rejected(self, desk_config, parallelism):

@@ -1,5 +1,6 @@
 """Mechanism engines: picks, cycle trading, transfer stages."""
 
+import hashlib
 import itertools
 import warnings
 from dataclasses import replace
@@ -7,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rsd_market.housing import SimConfig, generate_instance, replication_order
 from rsd_market.market import (
     Allocation,
     HashedNormalValuations,
@@ -576,6 +578,20 @@ class TestInterimTransfers:
             assert out.allocation.assignment == (0, 1, 3, 2)
             assert len(out.trade_log) == 1
             assert total_welfare(rescue.instance, out.allocation) == 120.0
+
+    def test_hashed_1k_lookback_outcome_is_pinned(self):
+        # Too large for the scalar reference, so the lookback outcome is pinned.
+        config = SimConfig(n_agents=1000)
+        inst = generate_instance(config, 4096).market
+        out = interim_transfers(inst, replication_order(config, 4096), "lookback-strategic")
+        h = hashlib.sha256()
+        h.update(out.allocation.to_array().tobytes())
+        h.update(np.array(out.transfers).tobytes())
+        for rec in out.trade_log:
+            h.update(repr((rec.proposer, rec.counterparty, rec.item_acquired,
+                           rec.item_given, rec.price)).encode())
+        assert len(out.trade_log) == 906
+        assert h.hexdigest() == "7fa2037c1ef9ef9b67e3922ae99030c5a83e6230d341a4b1aa78f22016e1f9bc"
 
     def test_single_agent(self):
         inst = MarketInstance.from_matrix([[5.0]])
