@@ -51,6 +51,6 @@ print()
 bound = prohibitive_cost_bound(generate_instance(config, SEED))
 taus = [0.0, 10.0, 40.0, 90.0, 150.0, 300.0, bound]
 print("fixed fee | total gain | trades")
-for row in transaction_cost_sweep(config, taus, SEED, kind="fixed"):
+for row in transaction_cost_sweep(config, taus, SEED):
     print(f"{row.tau:9,.0f} | {row.total_gain:10,.0f} | {row.trades}")
 print("past the prohibitive bound the market is plain serial dictatorship again.")

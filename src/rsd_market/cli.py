@@ -231,7 +231,6 @@ def _cmd_two_agent_solve(args: argparse.Namespace) -> int:
             "offer_quartiles": (
                 [float(q) for q in np.percentile(offers, [25, 50, 75])] if offers.size else None
             ),
-            "degenerate": offers.size == 0,
         }
     _emit(payload)
     return 0
@@ -339,12 +338,20 @@ def _cmd_sim_housing(args: argparse.Namespace) -> int:
 
 def _cmd_sim_sweep(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
+    kind, _, amounts = args.tau_list.partition(":")
+    try:
+        cost = mechanisms.parse_cost(f"{kind}:0")
+    except ValueError:
+        raise ValueError(
+            f"malformed --tau-list {args.tau_list!r}; expected fixed:X,Y,... or prop:R,S,..."
+        ) from None
     config = housing.SimConfig(
         n_agents=args.agents,
         wealth=housing.parse_wealth(args.wealth),
+        cost=cost,
     )
-    taus = [float(x) for x in args.tau_list.split(",")]
-    rows = housing.transaction_cost_sweep(config, taus, seed, kind=args.mode)
+    taus = [float(x) for x in amounts.split(",")]
+    rows = housing.transaction_cost_sweep(config, taus, seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(
@@ -495,8 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int)
     sweep.add_argument("--wealth", default="equal:10000")
     sweep.add_argument("--tau-list", dest="tau_list", required=True,
-                       help="comma-separated nonnegative, sorted values")
-    sweep.add_argument("--mode", choices=["fixed", "proportional"], default="fixed")
+                       help="fixed:X,Y,... or prop:R,S,...; nonnegative, sorted amounts")
     sweep.add_argument("--out", default="sweep_out")
     sweep.set_defaults(handler=_cmd_sim_sweep)
 

@@ -73,6 +73,21 @@ def _tight_edges(values: np.ndarray, match: np.ndarray) -> np.ndarray:
     return utility[:, None] + potentials[None, :] - values <= _ATOL
 
 
+def _item_ids(instance: MarketInstance, item_subset: Iterable[int] | None) -> list[int]:
+    """``item_subset`` (default: all items) as sorted distinct ids, each in
+    range, at least one and no more than there are agents."""
+    if item_subset is None:
+        item_subset = range(instance.n_items)
+    items = sorted(set(int(i) for i in item_subset))
+    if not items:
+        raise ValueError("item_subset must contain at least one item")
+    if items[0] < 0 or items[-1] >= instance.n_items:
+        raise ValueError("item_subset contains out-of-range ids")
+    if len(items) > instance.n_agents:
+        raise ValueError("cannot assign more items than agents")
+    return items
+
+
 def max_welfare_allocation(
     instance: MarketInstance, item_subset: Iterable[int] | None = None
 ) -> Allocation:
@@ -101,18 +116,9 @@ def max_welfare_allocation(
     the matching it would see one agent at a time, and the result is the
     same.  Each search is O(m^2), so the tie-break is O(m^3) after the solve.
     """
-    if item_subset is None:
-        item_subset = range(instance.n_items)
-    items = sorted(set(int(i) for i in item_subset))
-    if not items:
-        raise ValueError("item_subset must contain at least one item")
-    if items[0] < 0 or items[-1] >= instance.n_items:
-        raise ValueError("item_subset contains out-of-range ids")
+    items = _item_ids(instance, item_subset)
     m = instance.n_agents
     k = len(items)
-    if k > m:
-        raise ValueError("cannot assign more items than agents")
-
     values = np.zeros((m, m))
     values[:, :k] = instance.dense_matrix(items)
     _, match = linear_sum_assignment(values, maximize=True)
@@ -201,11 +207,7 @@ def brute_force_optimal(
         raise PreconditionError(
             f"instance too large for enumeration ({m} agents > {BRUTE_FORCE_MAX_AGENTS})"
         )
-    if item_subset is None:
-        item_subset = range(instance.n_items)
-    items = sorted(set(int(i) for i in item_subset))
-    if len(items) > m:
-        raise ValueError("cannot assign more items than agents")
+    items = _item_ids(instance, item_subset)
     values = instance.dense_matrix(items)
     k = len(items)
     cols = np.arange(k)[None, :]
@@ -336,8 +338,6 @@ def verify_ce(
     endowment: Allocation,
     allocation: Allocation,
     prices: PriceVector | np.ndarray,
-    *,
-    atol: float = _ATOL,
 ) -> bool:
     """Check the competitive-reallocation conditions.
 
@@ -353,11 +353,11 @@ def verify_ce(
         return False
     if allocation.items() != endowment.items():
         return False
-    if np.any(p < -atol):
+    if np.any(p < -_ATOL):
         return False
     in_market = np.zeros(instance.n_items, dtype=bool)
     in_market[sorted(allocation.items())] = True
-    if np.any(np.abs(p[~in_market]) > atol):
+    if np.any(np.abs(p[~in_market]) > _ATOL):
         return False
     if allocation.n_agents != instance.n_agents:
         return False
@@ -367,7 +367,7 @@ def verify_ce(
     holders = np.flatnonzero(items >= 0)
     own = surplus[holders, items[holders]]
     unassigned = items < 0
-    return not (np.any(best[unassigned] > atol) or np.any(own < best[holders] - atol))
+    return not (np.any(best[unassigned] > _ATOL) or np.any(own < best[holders] - _ATOL))
 
 
 def transfers_from_prices(

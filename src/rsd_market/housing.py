@@ -106,11 +106,9 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class HousingInstance:
-    """A generated market plus the per-room distribution parameters."""
+    """A generated market; its valuation field holds the per-room means and stds."""
 
     market: MarketInstance
-    means: np.ndarray
-    variances: np.ndarray
 
 
 def generate_instance(config: SimConfig, seed: int) -> HousingInstance:
@@ -123,17 +121,12 @@ def generate_instance(config: SimConfig, seed: int) -> HousingInstance:
         key=key,
         means=means,
         stds=np.sqrt(variances),
-        agent_count=config.n_agents,
+        n_agents=config.n_agents,
     )
     budgets = config.wealth.budgets(config.n_agents)
     budgets.setflags(write=False)
     means.setflags(write=False)
-    variances.setflags(write=False)
-    return HousingInstance(
-        market=MarketInstance(valuations=backend, budgets=budgets),
-        means=means,
-        variances=variances,
-    )
+    return HousingInstance(market=MarketInstance(valuations=backend, budgets=budgets))
 
 
 def replication_order(config: SimConfig, seed: int) -> tuple[int, ...]:
@@ -381,24 +374,19 @@ class SweepRow:
 
 
 def transaction_cost_sweep(
-    config: SimConfig,
-    tau_values: Sequence[float],
-    seed: int,
-    kind: Literal["fixed", "proportional"] | None = None,
+    config: SimConfig, tau_values: Sequence[float], seed: int
 ) -> list[SweepRow]:
-    """Re-run one replication per friction level on a shared seed."""
+    """Re-run one replication per amount of ``config.cost``'s kind on a shared seed."""
     taus = [float(t) for t in tau_values]
     if any(t < 0 for t in taus) or sorted(taus) != taus:
         raise ValueError("tau values must be nonnegative and sorted")
-    mode = kind or config.cost.kind
     rows = []
     for tau in taus:
-        cfg = replace(config, cost=TransactionCost(kind=mode, amount=tau))
-        report = run_housing_sim(cfg, seed)
+        report = run_housing_sim(replace(config, cost=replace(config.cost, amount=tau)), seed)
         rows.append(
             SweepRow(
                 tau=tau,
-                mode=mode,
+                mode=config.cost.kind,
                 total_gain=report.total_gain,
                 trade_stage_gain=report.trade_stage_gain,
                 trades=report.trade_count,
@@ -409,7 +397,8 @@ def transaction_cost_sweep(
 
 def prohibitive_cost_bound(instance: HousingInstance) -> float:
     """A fixed fee above every budget-plus-value sum, which stops all trade."""
-    max_value = float(instance.means.max() + 12.0 * np.sqrt(instance.variances.max()))
+    rooms = instance.market.valuations
+    max_value = float(rooms.means.max() + 12.0 * rooms.stds.max())
     return float(instance.market.budgets.max()) + max_value + 1.0
 
 

@@ -132,7 +132,7 @@ class HashedNormalValuations:
     key: int
     means: np.ndarray
     stds: np.ndarray
-    agent_count: int
+    n_agents: int
     # Hash inputs of agent 0's cells.  Agent j's row adds the scalar
     # j * n * GOLDEN, which is exact because uint64 arithmetic is a ring.
     offsets: np.ndarray = field(init=False, repr=False, compare=False)
@@ -141,10 +141,6 @@ class HashedNormalValuations:
         offsets = _hash_inputs(self.key, np.arange(self.n_items))
         offsets.setflags(write=False)
         object.__setattr__(self, "offsets", offsets)
-
-    @property
-    def n_agents(self) -> int:
-        return self.agent_count
 
     @property
     def n_items(self) -> int:
@@ -178,7 +174,8 @@ class MarketInstance:
     """An economy: agents with quasilinear utility, items, and cash endowments.
 
     ``valuations`` maps (agent, item) to utility units; ``budgets[j]`` is the
-    cash agent ``j`` walks in with.  Querying the null item yields exactly 0.
+    cash agent ``j`` walks in with, finite and nonnegative.  Querying the null
+    item yields exactly 0.
     """
 
     valuations: ValuationBackend
@@ -187,8 +184,8 @@ class MarketInstance:
     def __post_init__(self) -> None:
         if self.budgets.shape != (self.valuations.n_agents,):
             raise ValueError("budgets must have one entry per agent")
-        if not np.all(np.isfinite(self.budgets)):
-            raise ValueError("budgets must be finite")
+        if not np.all(np.isfinite(self.budgets) & (self.budgets >= 0)):
+            raise ValueError("budgets must be finite and nonnegative")
 
     @property
     def n_agents(self) -> int:

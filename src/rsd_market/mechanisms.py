@@ -328,20 +328,17 @@ def pairwise_aftermarket(
         seller_other = instance.valuations.values(sellers, item_j)
         ceiling = row[cand] - row[item_j]
         ok, price = bilateral_price(own_value[cand] - seller_other, ceiling, policy, cost)
-        gain = ceiling - price
         if policy.budget_enforced:
             money = instance.budgets[j] + transfers[j] - fees[j]
             ok &= price <= money
             if not floored:
                 # Unfloored, a seller may pay to swap down: net of its fee,
-                # it pays no more than the cash it holds.
+                # it pays no more than the cash it holds.  Floored, it nets at
+                # least 0, and budgets are nonnegative, so its cash cannot bind.
                 cash = instance.budgets[sellers] + transfers[sellers] - fees[sellers]
                 ok &= price - np.array([cost.fee(q) for q in price.tolist()]) >= -cash
-        if not np.any(ok):
-            return False
-        gain = np.where(ok, gain, -np.inf)
-        pick = int(np.argmax(gain))
-        if not np.isfinite(gain[pick]):
+        pick = int(np.argmax(np.where(ok, ceiling - price, -np.inf)))
+        if not ok[pick]:
             return False
 
         item_k = int(cand[pick])

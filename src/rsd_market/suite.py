@@ -510,7 +510,7 @@ def criterion_14(check: _Check) -> None:
     inst = housing.generate_instance(cfg, seed)
     bound = housing.prohibitive_cost_bound(inst)
     taus = [0.0, 5.0, 10.0, 20.0, 40.0, 60.0, 90.0, 150.0, 300.0, 1000.0, bound]
-    rows = housing.transaction_cost_sweep(cfg, taus, seed, kind="fixed")
+    rows = housing.transaction_cost_sweep(cfg, taus, seed)
 
     baseline_gain = housing.run_housing_sim(cfg, seed).total_gain
     check.expect(

@@ -11,7 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rsd_market.cli import dispatch
+from rsd_market.housing import SimConfig, transaction_cost_sweep
 from rsd_market.market import MarketInstance, save_instance
+from rsd_market.mechanisms import TransactionCost
 from rsd_market.scenarios import get_scenario, scenario_names
 
 
@@ -307,6 +309,26 @@ class TestDispatch:
         assert 0.0 <= payload["t_star"] <= 1.0
         assert payload["no_offer_probability"] == pytest.approx(0.5, abs=1e-9)
 
+    def test_two_agent_solve_draws_keys(self, capsys):
+        code, payload = run_json(
+            capsys,
+            ["two-agent", "solve", "--v2a", "0.9", "--v2b", "0.4", "--draws", "100", "--seed", "1"],
+        )
+        assert code == 0
+        assert set(payload["offer_distribution"]) == {
+            "seed", "draws", "conditional_draws", "mean_offer", "offer_quartiles"
+        }
+
+    def test_negative_budget_is_exit_3(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n_agents": 2, "n_items": 2, "valuations": [[1, 0], [20, 0]],
+                                    "budgets": [-50, 100]}))
+        code, out, err = _run_captured(["mech", "run", "--instance", str(path), "--order", "0,1",
+                                        "--mechanism", "expost-pairwise", "--floor", "on",
+                                        "--budget-enforced", "on"])
+        assert code == 3 and out == "" and "Traceback" not in err
+        assert "budgets must be finite and nonnegative" in err
+
     def test_two_agent_solve_upper_tail_truncnorm(self, capsys):
         code, payload = run_json(
             capsys,
@@ -394,7 +416,7 @@ class TestDispatch:
             ["two-agent", "solve", "--v2a", "0.9", "--v2b", "0.4", "--draws", "100"],
             ["two-agent", "first-mover", "--v1a", "0.7", "--v1b", "0.4", "--draws", "100"],
             ["sim", "housing", "--agents", "20"],
-            ["sim", "sweep", "--agents", "20", "--tau-list", "0,10"],
+            ["sim", "sweep", "--agents", "20", "--tau-list", "fixed:0,10"],
         ],
         ids=["mech-run", "two-agent-solve", "first-mover", "sim-housing", "sim-sweep"],
     )
@@ -479,13 +501,45 @@ class TestSimCommands:
         code, payload = run_json(
             capsys,
             ["sim", "sweep", "--agents", "200", "--seed", "5",
-             "--tau-list", "0,40,100000", "--out", str(out_dir)],
+             "--tau-list", "fixed:0,40,100000", "--out", str(out_dir)],
         )
         assert code == 0
         lines = (out_dir / "sweep.csv").read_text().splitlines()
         assert lines[0] == "tau,mode,total_gain,trades"
         assert len(lines) == 4
         assert lines[-1].endswith(",0")  # prohibitive fee kills all trades
+
+    def test_sweep_takes_a_proportional_fee_in_the_tau_spelling(self, capsys, tmp_path):
+        out_dir = tmp_path / "sweep"
+        code = dispatch(["sim", "sweep", "--agents", "200", "--seed", "3",
+                         "--tau-list", "prop:0,0.05", "--out", str(out_dir)])
+        capsys.readouterr()
+        assert code == 0
+        cfg = SimConfig(n_agents=200, cost=TransactionCost("proportional", 0.0))
+        expected = ["tau,mode,total_gain,trades"] + [
+            f"{r.tau!r},proportional,{r.total_gain!r},{r.trades}"
+            for r in transaction_cost_sweep(cfg, [0.0, 0.05], seed=3)
+        ]
+        assert (out_dir / "sweep.csv").read_text().splitlines() == expected
+
+    def test_sweep_mode_flag_is_a_usage_error(self, tmp_path):
+        code, out, err = _run_captured(["sim", "sweep", "--agents", "20", "--seed", "1",
+                                        "--tau-list", "fixed:0", "--mode", "fixed",
+                                        "--out", str(tmp_path / "out")])
+        assert code == 2 and out == "" and "--mode" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tau_list", ["none", "proportional:0,0.1", "fixed:"])
+    def test_malformed_tau_list_is_exit_3(self, tmp_path, tau_list):
+        code, out, err = _run_captured(["sim", "sweep", "--agents", "20", "--seed", "1",
+                                        "--tau-list", tau_list, "--out", str(tmp_path / "out")])
+        assert code == 3 and out == "" and "Traceback" not in err and err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_bare_tau_list_names_the_accepted_forms(self, tmp_path):
+        code, _, err = _run_captured(["sim", "sweep", "--agents", "20", "--seed", "1",
+                                      "--tau-list", "0,10", "--out", str(tmp_path / "out")])
+        assert code == 3 and "fixed:X,Y,..." in err and "prop:R,S,..." in err
 
 
 class TestSuiteRunner:
@@ -542,8 +596,10 @@ class TestJsonOutputs:
             ["two-agent", "first-mover", "--v1a", "0.7", "--v1b", "0.4", "--draws", "100",
              "--seed", "1"],
             ["sim", "housing", "--agents", "20", "--seed", "1", "--out", str(tmp_path / "h")],
-            ["sim", "sweep", "--agents", "20", "--seed", "1", "--tau-list", "0,10",
+            ["sim", "sweep", "--agents", "20", "--seed", "1", "--tau-list", "fixed:0,10",
              "--out", str(tmp_path / "s")],
+            ["sim", "sweep", "--agents", "20", "--seed", "1", "--tau-list", "prop:0,0.05",
+             "--out", str(tmp_path / "p")],
         ]
         documents = []
         for argv in runs:

@@ -339,6 +339,15 @@ class TestBruteForce:
         with pytest.raises(PreconditionError):
             brute_force_optimal(inst)
 
+    @pytest.mark.parametrize(
+        "subset, message",
+        [([2], "out-of-range"), ([-1], "out-of-range"), ([], "at least one item")],
+    )
+    def test_rejects_the_subsets_the_solver_rejects(self, swap_market, subset, message):
+        for solve in (brute_force_optimal, max_welfare_allocation):
+            with pytest.raises(ValueError, match=message):
+                solve(swap_market, subset)
+
     def test_agrees_with_solver_on_random_markets(self):
         # Square markets on all items, then rectangular ones on random item
         # subsets; every other market draws tie-heavy values in 0..2.

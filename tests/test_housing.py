@@ -51,15 +51,13 @@ class TestGeneration:
             a.market.valuations.values(agents, rooms),
             b.market.valuations.values(agents, rooms),
         )
-        assert np.array_equal(a.means, b.means)
+        assert np.array_equal(a.market.valuations.means, b.market.valuations.means)
 
     def test_room_parameter_ranges(self, desk_config):
-        inst = generate_instance(desk_config, 9)
-        assert inst.means.min() >= MEAN_RANGE[0] and inst.means.max() <= MEAN_RANGE[1]
-        assert (
-            inst.variances.min() >= VARIANCE_RANGE[0]
-            and inst.variances.max() <= VARIANCE_RANGE[1]
-        )
+        rooms = generate_instance(desk_config, 9).market.valuations
+        assert rooms.means.min() >= MEAN_RANGE[0] and rooms.means.max() <= MEAN_RANGE[1]
+        low, high = np.sqrt(VARIANCE_RANGE)
+        assert rooms.stds.min() >= low and rooms.stds.max() <= high
 
     def test_equal_wealth(self, desk_config):
         inst = generate_instance(desk_config, 1)
@@ -155,6 +153,19 @@ class TestSingleReplication:
         )
         assert desk_report.histogram_counts.sum() == desk_report.n_agents
 
+    @pytest.mark.parametrize(
+        "n_agents, seed, expected",
+        [
+            (1, 7, "0x1.1d8ca93e9b7b5p+14"),
+            (2, 3, "0x1.eeb311585b5a3p+13"),
+            (200, 55, "0x1.3cce5873bce66p+14"),
+            (1000, 4096, "0x1.3ded028d97b81p+14"),
+        ],
+    )
+    def test_prohibitive_bound_is_pinned(self, n_agents, seed, expected):
+        inst = generate_instance(SimConfig(n_agents=n_agents), seed)
+        assert prohibitive_cost_bound(inst).hex() == expected
+
     def test_prohibitive_fee_stops_trade(self, desk_config):
         inst = generate_instance(desk_config, 55)
         bound = prohibitive_cost_bound(inst)
@@ -217,7 +228,7 @@ class TestBatch:
 
 class TestSweep:
     def test_zero_fee_row_matches_plain_run(self, desk_config):
-        rows = transaction_cost_sweep(desk_config, [0.0, 50.0], seed=13, kind="fixed")
+        rows = transaction_cost_sweep(desk_config, [0.0, 50.0], seed=13)
         plain = run_housing_sim(desk_config, seed=13)
         assert rows[0].total_gain == plain.total_gain
         assert rows[0].trades == plain.trade_count
@@ -225,7 +236,7 @@ class TestSweep:
     def test_trades_nonincreasing_in_fixed_fee(self, desk_config):
         inst = generate_instance(desk_config, 13)
         taus = [0.0, 10.0, 40.0, 150.0, prohibitive_cost_bound(inst)]
-        rows = transaction_cost_sweep(desk_config, taus, seed=13, kind="fixed")
+        rows = transaction_cost_sweep(desk_config, taus, seed=13)
         trades = [r.trades for r in rows]
         assert trades == sorted(trades, reverse=True)
         assert rows[-1].trades == 0 and rows[-1].total_gain == 0.0

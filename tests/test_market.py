@@ -41,6 +41,11 @@ class TestInstance:
         with pytest.raises(ValueError):
             MarketInstance.from_matrix([[1.0, 2.0]], [0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [-50.0, -0.5, np.inf, np.nan])
+    def test_budgets_must_be_finite_and_nonnegative(self, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            MarketInstance.from_matrix([[1, 0], [20, 0]], [bad, 100.0])
+
     def test_null_item_is_worth_zero(self, paired_market):
         for agent in range(2):
             assert paired_market.value(agent, None) == 0.0
@@ -67,7 +72,7 @@ class TestHashedValuations:
             key=1234,
             means=np.array([100.0, 5000.0, 900.0]),
             stds=np.array([25.0, 30.0, 28.0]),
-            agent_count=4,
+            n_agents=4,
         )
         row = field.row(2)
         points = field.values(np.array([2, 2, 2]), np.array([0, 1, 2]))
@@ -76,7 +81,7 @@ class TestHashedValuations:
 
     def test_distinct_cells_differ(self):
         field = HashedNormalValuations(
-            key=7, means=np.full(50, 100.0), stds=np.full(50, 25.0), agent_count=50
+            key=7, means=np.full(50, 100.0), stds=np.full(50, 25.0), n_agents=50
         )
         assert len(set(field.row(0).tolist())) == 50
 
@@ -114,7 +119,7 @@ def _pin_backend(key: int, n: int) -> HashedNormalValuations:
         key=key,
         means=rng.uniform(100, 10_000, n),
         stds=np.sqrt(rng.uniform(500, 1_000, n)),
-        agent_count=max(n, 2**32 // n + 3),
+        n_agents=max(n, 2**32 // n + 3),
     )
 
 
@@ -196,7 +201,7 @@ class TestHashedKernelPins:
         n = 7
         agent, item = divmod(index, n)
         field = HashedNormalValuations(
-            key=key, means=np.zeros(n), stds=np.ones(n), agent_count=agent + 1
+            key=key, means=np.zeros(n), stds=np.ones(n), n_agents=agent + 1
         )
         value = field.values([agent], [item])[0]
         assert np.isfinite(value) and value == field.row(agent)[item]

@@ -712,7 +712,7 @@ class TestAftermarketEngine:
                     key=int(rng.integers(0, 2**63)),
                     means=rng.uniform(100.0, 1_000.0, n),
                     stds=rng.uniform(20.0, 40.0, n),
-                    agent_count=n,
+                    n_agents=n,
                 )
                 inst = MarketInstance(backend, rng.uniform(0.0, 300.0, n))
                 endow = Allocation.from_array(rng.permutation(n))

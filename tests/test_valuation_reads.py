@@ -236,7 +236,7 @@ def hashed_instance(rng, m, n):
         key=int(rng.integers(0, 2**63)),
         means=rng.uniform(100.0, 1_000.0, n),
         stds=rng.uniform(20.0, 40.0, n),
-        agent_count=m,
+        n_agents=m,
     )
     return MarketInstance(backend, rng.uniform(0.0, 300.0, m))
 
