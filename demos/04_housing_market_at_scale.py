@@ -24,7 +24,7 @@ print(f"total welfare gain over truthful picks: {report.total_gain:,.0f}")
 print(f"gain from the transfer stage alone:     {report.trade_stage_gain:,.0f}")
 print(f"agents hurt by the transfer stage:      "
       f"{int((report.trade_stage_delta < -1e-6).sum())}")
-print(f"agents below the truthful-pick arm:     {report.negative_delta_count} "
+print(f"agents below the truthful-pick arm:     {int((report.delta < 0).sum())} "
       "(pick-stage noise, see README)")
 
 q = np.percentile(report.trade_stage_delta[report.trade_stage_delta > 1e-6], [25, 50, 75])

@@ -46,7 +46,6 @@ from .mechanisms import (
     interim_feasibility_check,
     interim_transfers,
     pairwise_aftermarket,
-    rsd,
     serial_dictatorship,
     strategic_rsd_counterexample,
     ttc,

@@ -41,13 +41,25 @@ def _emit(payload: dict, path: Path | None = None) -> None:
         path.write_text(text + "\n")
 
 
-def _resolve_seed(seed: int | None) -> int:
+def _env_seed() -> int | None:
     env = os.environ.get("RSD_MARKET_SEED")
-    if seed is None and env:
-        seed = int(env)
+    try:
+        return int(env) if env else None
+    except ValueError:
+        raise ValueError(f"RSD_MARKET_SEED must be an integer, got {env!r}") from None
+
+
+def _check_seeds(seed: int | None) -> None:
+    """Refuse a negative seed from the flag or the environment, used or not."""
+    for value in (seed, _env_seed()):
+        if value is not None and value < 0:
+            raise ValueError(f"seed must be nonnegative, got {value}")
+
+
+def _resolve_seed(seed: int | None) -> int:
+    if seed is None:
+        seed = _env_seed()
     if seed is not None:
-        if seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {seed}")
         return seed
     generated = secrets.randbits(48)
     print(f"note: no seed given; using generated seed {generated}", file=sys.stderr)
@@ -76,13 +88,44 @@ def _allocation_json(allocation: market.Allocation) -> list[int | None]:
 # ---------------------------------------------------------------------------
 
 
+# The ``mech run`` settings as parser arguments; each default is written here only.
+_SETTINGS = {
+    "--lambda": dict(dest="surplus_split", type=float, default=0.5,
+                     help="seller's share of the trade surplus"),
+    "--floor": dict(dest="floor", choices=["on", "off"], default="on",
+                    help="clamp seller reservations at zero"),
+    "--mode": dict(dest="mode", choices=["fixed-point", "single-pass"], default="fixed-point"),
+    "--tau": dict(dest="tau", default="none", help="transaction cost: none|fixed:X|prop:R"),
+    "--agent-model": dict(dest="agent_model", choices=["myopic", "lookback-strategic"],
+                          default="lookback-strategic"),
+    "--budget-enforced": dict(dest="budget_enforced", choices=["on", "off"], default="off",
+                              help="no trader pays more cash than it holds"),
+}
+# The settings each mechanism applies; any other must keep its default.  The
+# serial dictatorships move no money, so a budget holds for them trivially.
+_APPLIES = {
+    "sd": {"--budget-enforced"},
+    "rsd": {"--budget-enforced"},
+    "rsd-ttc": {"--budget-enforced"},
+    "expost-ce": set(),
+    "expost-pairwise": {"--lambda", "--floor", "--mode", "--tau", "--budget-enforced"},
+    "interim": {"--lambda", "--floor", "--agent-model", "--budget-enforced"},
+}
+
+
 def _cmd_mech_run(args: argparse.Namespace) -> int:
     name = args.mechanism
     cost = mechanisms.parse_cost(args.tau)
-    if cost.amount > 0 and name != "expost-pairwise":
-        raise ValueError(f"--tau applies only to expost-pairwise, not to {name}")
-    if args.budget_enforced == "on" and name == "expost-ce":
-        raise ValueError("--budget-enforced does not apply to expost-ce")
+    # A fee is judged by what it charges: one that charges nothing is the default.
+    unapplied = [
+        flag for flag, spec in _SETTINGS.items()
+        if flag not in _APPLIES[name] and getattr(args, spec["dest"]) != spec["default"]
+        and (flag != "--tau" or cost.amount > 0)
+    ]
+    if unapplied:
+        raise ValueError(f"mechanism {name} does not apply {', '.join(unapplied)}")
+    if args.order and args.seed is not None:
+        raise ValueError("--seed does not apply with --order")
     instance, default_order = _load_market(args)
     policy = mechanisms.TradePolicy(
         surplus_split=args.surplus_split,
@@ -94,7 +137,7 @@ def _cmd_mech_run(args: argparse.Namespace) -> int:
     seed_used: int | None = None
     if args.order:
         order = _parse_order(args.order, instance.n_agents)
-    elif args.mechanism == "rsd" or args.seed is not None or default_order is None:
+    elif name == "rsd" or args.seed is not None or default_order is None:
         seed_used = _resolve_seed(args.seed)
         order = market.random_order(instance.n_agents, seed_used)
     else:
@@ -210,6 +253,8 @@ def _dist(args: argparse.Namespace, slot: str) -> two_agent.ValueDistribution:
 
 
 def _cmd_two_agent_solve(args: argparse.Namespace) -> int:
+    if args.seed is not None and not args.draws:
+        raise ValueError("--seed applies only with --draws")
     f1a, f1b = _dist(args, "1a"), _dist(args, "1b")
     f2a, f2b = _dist(args, "2a"), _dist(args, "2b")
     offer = two_agent.optimal_offer(args.v2a, args.v2b, f1a, f1b)
@@ -304,7 +349,7 @@ def _cmd_sim_housing(args: argparse.Namespace) -> int:
             for r in first.trades
         ),
     )
-    counts, edges = batch.pooled_histogram()
+    counts, edges = np.histogram(batch.pooled_delta, bins=housing.DELTA_HISTOGRAM_BINS)
     report = {
         "master_seed": seed,
         "n_agents": config.n_agents,
@@ -428,25 +473,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run = mech.add_parser("run", help="run one mechanism and print the outcome")
     instance_flags(run)
-    run.add_argument(
-        "--mechanism",
-        required=True,
-        choices=["sd", "rsd", "rsd-ttc", "expost-ce", "expost-pairwise", "interim"],
-    )
+    run.add_argument("--mechanism", required=True, choices=list(_APPLIES))
     run.add_argument("--order", help="comma-separated pick order, e.g. 0,2,1")
-    run.add_argument("--seed", type=int, help="seed for a random pick order")
-    run.add_argument("--lambda", dest="surplus_split", type=float, default=0.5,
-                     help="seller's share of the trade surplus")
-    run.add_argument("--floor", choices=["on", "off"], default="on",
-                     help="clamp seller reservations at zero")
-    run.add_argument("--mode", choices=["fixed-point", "single-pass"], default="fixed-point")
-    run.add_argument("--tau", default="none",
-                     help="transaction cost: none|fixed:X|prop:R; nonzero: expost-pairwise only")
-    run.add_argument("--agent-model", choices=["myopic", "lookback-strategic"],
-                     default="lookback-strategic")
-    run.add_argument("--budget-enforced", choices=["on", "off"], default="off",
-                     help="no trader pays more cash than it holds "
-                     "(expost-pairwise and interim; sd, rsd and rsd-ttc move no money)")
+    run.add_argument("--seed", type=int, help="seed for a random pick order; not with --order")
+    for flag, spec in _SETTINGS.items():
+        run.add_argument(flag, **spec)
     run.set_defaults(handler=_cmd_mech_run)
 
     eq = sub.add_parser("equilibrium", help="assignment-market equilibrium").add_subparsers(
@@ -593,6 +624,8 @@ def dispatch(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_inject_config(argv))
+        if "seed" in vars(args):
+            _check_seeds(args.seed)
         return args.handler(args)
     except SystemExit as exc:  # argparse usage errors and --help
         code = exc.code

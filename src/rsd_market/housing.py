@@ -232,14 +232,6 @@ class SimReport:
         return len(self.trades)
 
     @property
-    def total_baseline(self) -> float:
-        return float(self.welfare_baseline.sum())
-
-    @property
-    def total_treatment(self) -> float:
-        return float(self.welfare_treatment.sum())
-
-    @property
     def total_gain(self) -> float:
         return float(self.delta.sum())
 
@@ -250,10 +242,6 @@ class SimReport:
     @property
     def fees_collected(self) -> float:
         return float(self.fees.sum())
-
-    @property
-    def negative_delta_count(self) -> int:
-        return int(np.sum(self.delta < 0))
 
 
 def run_housing_sim(config: SimConfig, seed: int) -> SimReport:
@@ -345,9 +333,6 @@ class BatchReport:
     def negative_trade_stage_fraction(self) -> float:
         pooled = self.pooled_trade_stage_delta
         return float(np.sum(pooled < 0) / pooled.size)
-
-    def pooled_histogram(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.histogram(self.pooled_delta, bins=DELTA_HISTOGRAM_BINS)
 
 
 def batch_run(

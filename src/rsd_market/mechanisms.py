@@ -39,11 +39,11 @@ from .market import (
     Outcome,
     TradeRecord,
     ValuationBackend,
-    random_order,
     replay_trade_log,
     validate_order,
     zero_outcome,
 )
+from .scenarios import get_scenario
 
 PairwiseMode = Literal["fixed-point", "single-pass"]
 AgentModel = Literal["myopic", "lookback-strategic"]
@@ -189,11 +189,6 @@ def serial_dictatorship(instance: MarketInstance, order: Sequence[int]) -> Outco
     """Agents pick their favorite remaining item in the given order; no money moves."""
     order_t = validate_order(order, instance.n_agents)
     return zero_outcome(Allocation.from_array(sd_assignment(instance.valuations, order_t)))
-
-
-def rsd(instance: MarketInstance, seed: int) -> Outcome:
-    """Serial dictatorship under a uniformly random, seed-reproducible order."""
-    return serial_dictatorship(instance, random_order(instance.n_agents, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -533,45 +528,25 @@ def interim_feasibility_check(instance: MarketInstance, order: Sequence[int]) ->
 class StrategyBranch:
     label: str
     payoff: float
-    transfer_received: float = 0.0
 
 
-@dataclass(frozen=True)
-class StrategyScenarioReport:
-    """Payoffs of the first picker under honest and manipulative play."""
-
-    surplus_split: float
-    branches: tuple[StrategyBranch, ...]
-    best_label: str
-    manipulation_gain: float
-
-
-def strategic_rsd_counterexample(surplus_split: float = 0.5) -> StrategyScenarioReport:
-    """Three strategies for a first picker facing a deep-pocketed rival.
+def strategic_rsd_counterexample(surplus_split: float = 0.5) -> tuple[StrategyBranch, ...]:
+    """The first picker's payoff under three strategies in ``example-4.2``.
 
     The first picker values room 0 at 20 and everything else at 10; the second
-    picker values room 1 at 200 and everything else at 10 and can pay.  Branch
-    payoffs: settle for a generic room (10), take the favorite room (20), or
+    picker values room 1 at 200 and everything else at 10 and can pay.  The
+    first picker can settle for a generic room, take their favorite room, or
     grab the rival's favorite and sell it back at the policy price.
     """
-    policy = TradePolicy(surplus_split=surplus_split)
-    v_a_room0, v_a_other = 20.0, 10.0
-    v_b_room1, v_b_other = 200.0, 10.0
-
-    # Branch 3: A holds room 1, B holds room 0; B buys room 1 from A.
-    feasible, price = bilateral_price(v_a_other - v_a_room0, v_b_room1 - v_b_other, policy)
+    value = get_scenario("example-4.2").instance.value
+    # The resale: A holds room 1, B holds room 0; B buys room 1 from A.
+    feasible, price = bilateral_price(
+        value(0, 1) - value(0, 0), value(1, 1) - value(1, 0), TradePolicy(surplus_split)
+    )
     if not feasible:
         raise InternalInvariantError("the resale branch must always be viable")
-    price = float(price)
-    branches = (
-        StrategyBranch("generic-room", v_a_other),
-        StrategyBranch("honest-favorite", v_a_room0),
-        StrategyBranch("grab-and-resell", v_a_room0 + price, transfer_received=price),
-    )
-    best = max(branches, key=lambda b: b.payoff)
-    return StrategyScenarioReport(
-        surplus_split=surplus_split,
-        branches=branches,
-        best_label=best.label,
-        manipulation_gain=branches[2].payoff - branches[1].payoff,
+    return (
+        StrategyBranch("generic-room", value(0, 2)),
+        StrategyBranch("honest-favorite", value(0, 0)),
+        StrategyBranch("grab-and-resell", value(0, 0) + float(price)),
     )

@@ -193,8 +193,7 @@ def criterion_04(check: _Check) -> None:
     """Manipulation premium: 20 + split * 190, dominant at every split."""
     for k in range(11):
         lam = k / 10
-        report = mechanisms.strategic_rsd_counterexample(lam)
-        payoffs = {b.label: b.payoff for b in report.branches}
+        payoffs = {b.label: b.payoff for b in mechanisms.strategic_rsd_counterexample(lam)}
         expected = 20.0 + lam * 190.0
         check.expect(
             payoffs["grab-and-resell"] == expected,
@@ -205,11 +204,8 @@ def criterion_04(check: _Check) -> None:
             payoffs["grab-and-resell"] >= payoffs["honest-favorite"],
             f"split {lam}: manipulation not weakly dominant",
         )
-    at_half = mechanisms.strategic_rsd_counterexample(0.5)
-    check.expect(
-        at_half.branches[2].payoff == 115.0,
-        f"midpoint payoff {at_half.branches[2].payoff} != 115",
-    )
+    at_half = mechanisms.strategic_rsd_counterexample(0.5)[2].payoff
+    check.expect(at_half == 115.0, f"midpoint payoff {at_half} != 115")
     check.note("resale transfer at 0.5 split: 95")
 
 

@@ -80,6 +80,41 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+MECHANISMS = ["sd", "rsd", "rsd-ttc", "expost-ce", "expost-pairwise", "interim"]
+# The settings each mechanism applies, spelled out here independently of the
+# command line; any other setting must keep its default, or the run exits 3.
+APPLIES = {
+    "sd": {"--budget-enforced"},
+    "rsd": {"--budget-enforced"},
+    "rsd-ttc": {"--budget-enforced"},
+    "expost-ce": set(),
+    "expost-pairwise": {"--lambda", "--floor", "--mode", "--tau", "--budget-enforced"},
+    "interim": {"--lambda", "--floor", "--agent-model", "--budget-enforced"},
+}
+DEFAULTS = {
+    "--lambda": "0.5",
+    "--floor": "on",
+    "--mode": "fixed-point",
+    "--tau": "none",
+    "--agent-model": "lookback-strategic",
+    "--budget-enforced": "off",
+}
+# A value each ``mech run`` setting can take other than its default.
+NON_DEFAULT = {
+    "--lambda": "0.2",
+    "--floor": "off",
+    "--mode": "single-pass",
+    "--tau": "fixed:40",
+    "--agent-model": "myopic",
+    "--budget-enforced": "on",
+}
+
+
+def _mech(mechanism, *flags):
+    return ["mech", "run", "--mechanism", mechanism, "--scenario", "example-3.1",
+            "--order", "0,1", *flags]
+
+
 class TestDispatch:
     def test_mech_run_scenario(self, capsys):
         code, payload = run_json(
@@ -133,22 +168,61 @@ class TestDispatch:
         assert payload["utilities"] == [10.0, 9.0]
 
     @pytest.mark.parametrize(
-        "mechanism, flag",
+        "argv, env_seed, named",
         [
-            ("interim", ["--tau", "fixed:40"]),
-            ("sd", ["--tau", "prop:0.1"]),
-            ("sd", ["--tau", "fixed:0.5"]),
-            ("expost-ce", ["--tau", "fixed:1"]),
-            ("expost-ce", ["--budget-enforced", "on"]),
+            (_mech("interim", "--tau", "fixed:40"), None, ["--tau", "interim"]),
+            (_mech("sd", "--tau", "prop:0.1"), None, ["--tau", "sd"]),
+            (_mech("sd", "--tau", "fixed:0.5"), None, ["--tau", "sd"]),
+            (_mech("expost-ce", "--tau", "fixed:1"), None, ["--tau", "expost-ce"]),
+            (_mech("expost-ce", "--budget-enforced", "on"), None,
+             ["--budget-enforced", "expost-ce"]),
+            # The serial dictatorships and expost-ce apply none of these four.
+            *[
+                (_mech(mechanism, flag, NON_DEFAULT[flag]), None, [flag, mechanism])
+                for mechanism in ["sd", "rsd", "rsd-ttc", "expost-ce"]
+                for flag in ["--lambda", "--floor", "--mode", "--agent-model"]
+            ],
+            (_mech("expost-pairwise", "--agent-model", "myopic"), None,
+             ["--agent-model", "expost-pairwise"]),
+            (_mech("interim", "--mode", "single-pass"), None, ["--mode", "interim"]),
+            (_mech("sd", "--mode", "single-pass", "--agent-model", "myopic", "--lambda", "0.2",
+                   "--floor", "off"), None,
+             ["sd", "--lambda", "--floor", "--mode", "--agent-model"]),
+            # A seed is checked whether or not the run uses it, and an explicit
+            # seed the run cannot use is refused.
+            (_mech("sd", "--seed", "-1"), None, ["seed must be nonnegative"]),
+            (_mech("sd", "--seed", "5"), None, ["--seed", "--order"]),
+            (_mech("sd"), "-1", ["seed must be nonnegative"]),
+            (["mech", "run", "--mechanism", "sd", "--scenario", "example-3.1"], "-1",
+             ["seed must be nonnegative"]),
+            (["two-agent", "solve", "--v2a", "0.9", "--v2b", "0.4", "--seed", "-1"], None,
+             ["seed must be nonnegative"]),
+            (["two-agent", "solve", "--v2a", "0.9", "--v2b", "0.4", "--seed", "3"], None,
+             ["--seed", "--draws"]),
+            (["two-agent", "solve", "--v2a", "0.9", "--v2b", "0.4"], "-1",
+             ["seed must be nonnegative"]),
+            (["two-agent", "first-mover", "--v1a", "0.7", "--v1b", "0.4", "--seed", "3"], "abc",
+             ["RSD_MARKET_SEED", "'abc'"]),
         ],
     )
-    def test_settings_the_mechanism_cannot_apply_are_exit_3(self, capsys, mechanism, flag):
-        code = dispatch(["mech", "run", "--mechanism", mechanism, "--scenario", "example-3.1",
-                         "--order", "0,1", *flag])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert flag[0] in captured.err and mechanism in captured.err
+    def test_settings_the_mechanism_cannot_apply_are_exit_3(
+        self, monkeypatch, argv, env_seed, named
+    ):
+        if env_seed is None:
+            monkeypatch.delenv("RSD_MARKET_SEED", raising=False)
+        else:
+            monkeypatch.setenv("RSD_MARKET_SEED", env_seed)
+        code, out, err = _run_captured(argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert all(word in err for word in named), err
+
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    def test_settings_at_their_defaults_run_with_every_mechanism(self, mechanism):
+        defaults = [word for setting in DEFAULTS.items() for word in setting]
+        code, out, err = _run_captured(_mech(mechanism, *defaults))
+        assert (code, err) == (0, "")
+        assert (code, out, err) == _run_captured(_mech(mechanism))
 
     @pytest.mark.parametrize("mechanism", ["sd", "interim", "expost-ce"])
     @pytest.mark.parametrize("tau", ["fixed:0", "prop:0"])
@@ -870,7 +944,6 @@ class TestMalformedFiles:
 # apply; never 4
 # ---------------------------------------------------------------------------
 
-MECHANISMS = ["sd", "rsd", "rsd-ttc", "expost-ce", "expost-pairwise", "interim"]
 CHARGING_FEES = {"fixed:2", "prop:0.2"}
 
 # Integer values at a 0.3 split give prices whose transfers cancel only to
@@ -897,6 +970,11 @@ def mech_run_cases(draw):
         "--tau": draw(st.sampled_from(["none", "fixed:0", "prop:0", "fixed:2", "prop:0.2"])),
         "--agent-model": draw(st.sampled_from(["myopic", "lookback-strategic"])),
     }
+    # Each setting the mechanism does not apply is left unset in half the
+    # cases, so that many runs get past the check.
+    for flag in [f for f in DEFAULTS if f not in APPLIES[flags["--mechanism"]]]:
+        if draw(st.booleans()):
+            del flags[flag]
     if flags["--mechanism"] == "rsd":
         flags["--seed"] = str(draw(st.integers(0, 2**32 - 1)))
     else:
@@ -923,9 +1001,13 @@ class TestValidMechRunInput:
         for flag, value in flags.items():
             argv += [flag, value]
         mechanism = flags["--mechanism"]
-        refused = (
-            flags.get("--tau") in CHARGING_FEES and mechanism != "expost-pairwise"
-        ) or (flags.get("--budget-enforced") == "on" and mechanism == "expost-ce")
+        # A fee that charges nothing counts as the default.
+        refused = any(
+            flag not in APPLIES[mechanism]
+            and (value in CHARGING_FEES if flag == "--tau" else value != DEFAULTS[flag])
+            for flag, value in flags.items()
+            if flag in DEFAULTS
+        )
         code, out, err = _run_captured(argv)
         assert code == (3 if refused else 0), err
         if not refused:

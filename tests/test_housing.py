@@ -148,9 +148,9 @@ class TestSingleReplication:
             bought_step[rec.proposer] = rec.step
 
     def test_welfare_identity(self, desk_report):
-        assert desk_report.total_treatment - desk_report.total_baseline == pytest.approx(
-            desk_report.total_gain
-        )
+        treatment = desk_report.welfare_treatment.sum()
+        baseline = desk_report.welfare_baseline.sum()
+        assert treatment - baseline == pytest.approx(desk_report.total_gain)
         assert desk_report.histogram_counts.sum() == desk_report.n_agents
 
     @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from rsd_market.market import (
     MarketInstance,
     Outcome,
     TradeRecord,
+    random_order,
     total_welfare,
     utilities,
     utility,
@@ -30,7 +31,6 @@ from rsd_market.mechanisms import (
     interim_transfers,
     pairwise_aftermarket,
     parse_cost,
-    rsd,
     serial_dictatorship,
     strategic_rsd_counterexample,
     ttc,
@@ -211,6 +211,10 @@ class TestSerialDictatorship:
         inst = MarketInstance.from_matrix([[1.0, 2.0], [3.0, 4.0]])
         with pytest.raises(ValueError):
             serial_dictatorship(inst, (0, 0))
+
+
+def rsd(inst, seed):
+    return serial_dictatorship(inst, random_order(inst.n_agents, seed))
 
 
 class TestRsd:
@@ -638,23 +642,33 @@ class TestInterimTransfers:
 
 class TestStrategicScenario:
     def test_branch_payoffs_at_midpoint(self):
-        report = strategic_rsd_counterexample(0.5)
-        payoffs = {b.label: b.payoff for b in report.branches}
+        payoffs = {b.label: b.payoff for b in strategic_rsd_counterexample(0.5)}
         assert payoffs == {
             "generic-room": 10.0,
             "honest-favorite": 20.0,
             "grab-and-resell": 115.0,
         }
-        assert report.branches[2].transfer_received == 95.0
-        assert report.best_label == "grab-and-resell"
+        # The resale transfer is what the manipulator gains over the honest pick.
+        assert payoffs["grab-and-resell"] - payoffs["honest-favorite"] == 95.0
+        assert max(payoffs, key=payoffs.get) == "grab-and-resell"
+
+    def test_payoffs_come_from_the_scenario(self):
+        value = get_scenario("example-4.2").instance.value
+        branches = strategic_rsd_counterexample(1.0)
+        assert [b.payoff for b in branches] == [
+            value(0, 2), value(0, 0), value(0, 0) + value(1, 1) - value(1, 0)
+        ]
 
     def test_buyer_optimal_split_still_weakly_dominant(self):
-        report = strategic_rsd_counterexample(0.0)
-        assert report.branches[2].payoff == 20.0
-        assert report.manipulation_gain == 0.0
+        branches = strategic_rsd_counterexample(0.0)
+        assert branches[2].payoff == 20.0
+        assert branches[2].payoff - branches[1].payoff == 0.0
 
     def test_manipulation_grows_with_split(self):
-        gains = [strategic_rsd_counterexample(k / 10).manipulation_gain for k in range(11)]
+        gains = []
+        for k in range(11):
+            _, honest, resale = strategic_rsd_counterexample(k / 10)
+            gains.append(resale.payoff - honest.payoff)
         assert gains == sorted(gains)
 
 
