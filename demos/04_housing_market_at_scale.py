@@ -39,7 +39,7 @@ rho, _ = stats.spearmanr(budgets, delta)
 print()
 print(f"wealth ladder spans [{budgets.min():.0f}, {budgets.max():.0f}] dollars")
 print(f"rank correlation between budget and welfare gain: {rho:+.3f}")
-groups = np.concatenate([np.arange(N_AGENTS) // 10 for _ in range(wealth_batch.n_reps)])
+groups = np.concatenate([np.arange(N_AGENTS) // 10 for _ in wealth_batch.reports])
 for g in (0, 25, 50, 75, 99):
     sel = groups == g
     print(f"  group {g:3d} (budget {budgets[sel][0]:10,.1f}): "

@@ -152,10 +152,8 @@ def _cmd_mech_run(args: argparse.Namespace) -> int:
         outcome = mechanisms.expost_ce_transfers(instance, order)
     elif name == "expost-pairwise":
         outcome = mechanisms.expost_pairwise_transfers(instance, order, policy, cost)
-    elif name == "interim":
+    else:
         outcome = mechanisms.interim_transfers(instance, order, args.agent_model, policy)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown mechanism {name!r}")
 
     problems = market.validate_outcome(instance, outcome)
     if problems:
@@ -337,7 +335,7 @@ def _cmd_sim_housing(args: argparse.Namespace) -> int:
         (
             (j, repr(float(first.budgets0[j])), repr(float(first.welfare_baseline[j])),
              repr(float(first.welfare_treatment[j])), repr(float(first.delta[j])))
-            for j in range(first.n_agents)
+            for j in range(config.n_agents)
         ),
     )
     _write_csv(
@@ -355,7 +353,7 @@ def _cmd_sim_housing(args: argparse.Namespace) -> int:
         "n_agents": config.n_agents,
         "wealth": args.wealth,
         "tau": args.tau,
-        "replications": batch.n_reps,
+        "replications": len(batch.reports),
         "per_rep_total_gain": [r.total_gain for r in batch.reports],
         "per_rep_trades": [r.trade_count for r in batch.reports],
         "mean_total_gain": batch.mean_gain,
@@ -402,7 +400,7 @@ def _cmd_sim_sweep(args: argparse.Namespace) -> int:
     _write_csv(
         out / "sweep.csv",
         ["tau", "mode", "total_gain", "trades"],
-        ((repr(r.tau), r.mode, repr(r.total_gain), r.trades) for r in rows),
+        ((repr(r.tau), cost.kind, repr(r.total_gain), r.trades) for r in rows),
     )
     _emit(
         {
@@ -410,7 +408,7 @@ def _cmd_sim_sweep(args: argparse.Namespace) -> int:
             "files": ["sweep.csv"],
             "seed": seed,
             "rows": [
-                {"tau": r.tau, "mode": r.mode, "total_gain": r.total_gain, "trades": r.trades}
+                {"tau": r.tau, "mode": cost.kind, "total_gain": r.total_gain, "trades": r.trades}
                 for r in rows
             ],
         }
@@ -533,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int)
     sweep.add_argument("--wealth", default="equal:10000")
     sweep.add_argument("--tau-list", dest="tau_list", required=True,
-                       help="fixed:X,Y,... or prop:R,S,...; nonnegative, sorted amounts")
+                       help="fixed:X,Y,... or prop:R,S,...; finite, nonnegative, sorted amounts")
     sweep.add_argument("--out", default="sweep_out")
     sweep.set_defaults(handler=_cmd_sim_sweep)
 

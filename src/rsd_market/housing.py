@@ -211,7 +211,6 @@ class SimReport:
     """
 
     seed: int
-    n_agents: int
     budgets0: np.ndarray
     baseline_assignment: np.ndarray
     treatment_endowment: np.ndarray
@@ -271,7 +270,6 @@ def run_housing_sim(config: SimConfig, seed: int) -> SimReport:
     counts, edges = np.histogram(delta, bins=DELTA_HISTOGRAM_BINS)
     return SimReport(
         seed=seed,
-        n_agents=config.n_agents,
         budgets0=inst.market.budgets,
         baseline_assignment=baseline,
         treatment_endowment=endowment,
@@ -299,10 +297,6 @@ class BatchReport:
     """Replications in index order."""
 
     reports: tuple[SimReport, ...]
-
-    @property
-    def n_reps(self) -> int:
-        return len(self.reports)
 
     @property
     def gains(self) -> np.ndarray:
@@ -352,9 +346,7 @@ def batch_run(
 @dataclass(frozen=True)
 class SweepRow:
     tau: float
-    mode: str
     total_gain: float
-    trade_stage_gain: float
     trades: int
 
 
@@ -363,20 +355,12 @@ def transaction_cost_sweep(
 ) -> list[SweepRow]:
     """Re-run one replication per amount of ``config.cost``'s kind on a shared seed."""
     taus = [float(t) for t in tau_values]
-    if any(t < 0 for t in taus) or sorted(taus) != taus:
-        raise ValueError("tau values must be nonnegative and sorted")
+    if not all(0 <= t < np.inf for t in taus) or sorted(taus) != taus:
+        raise ValueError("tau values must be finite, nonnegative and sorted")
     rows = []
     for tau in taus:
         report = run_housing_sim(replace(config, cost=replace(config.cost, amount=tau)), seed)
-        rows.append(
-            SweepRow(
-                tau=tau,
-                mode=config.cost.kind,
-                total_gain=report.total_gain,
-                trade_stage_gain=report.trade_stage_gain,
-                trades=report.trade_count,
-            )
-        )
+        rows.append(SweepRow(tau=tau, total_gain=report.total_gain, trades=report.trade_count))
     return rows
 
 

@@ -71,6 +71,11 @@ class TradePolicy:
             raise ValueError(f"unknown pairwise mode {self.pairwise_mode!r}")
 
 
+# Gain-aligned bargaining: the proposer keeps the whole surplus, and seller
+# reservations may be negative.
+GAIN_ALIGNED = TradePolicy(surplus_split=0.0, seller_reservation_floor=False)
+
+
 @dataclass(frozen=True)
 class TransactionCost:
     """Per-trade friction, charged on the seller's side of each executed trade.
@@ -491,8 +496,7 @@ def interim_feasibility_check(instance: MarketInstance, order: Sequence[int]) ->
     prefix optimum is exactly one-swap reachability at every turn.
     """
     order_t = validate_order(order, instance.n_agents)
-    policy = TradePolicy(surplus_split=0.0, seller_reservation_floor=False)
-    outcome = interim_transfers(instance, order_t, "lookback-strategic", policy)
+    outcome = interim_transfers(instance, order_t, "lookback-strategic", GAIN_ALIGNED)
 
     # Undoing the trade log recovers each agent's own pick; trades are logged
     # one per turn in pick order, so prefix states can be replayed exactly.

@@ -1,16 +1,18 @@
 """Regression suite: every release criterion as an executable check.
 
-Each criterion returns a :class:`CriterionResult`; ``run_paper_suite`` runs
-them in order, printing one pass/fail line per criterion with the measured
-values.  The same functions back ``tests/test_acceptance.py``.
+Each criterion records into one :class:`CriterionResult`: ``expect`` collects
+a failure without stopping the criterion, ``note`` a measured value.
+``run_paper_suite`` runs the criteria in order, timing each and printing one
+pass/fail line per criterion with its failures and notes.  The same functions
+back ``tests/test_acceptance.py``.
 """
 
 from __future__ import annotations
 
 import time
 import tracemalloc
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -22,21 +24,17 @@ from .market import Allocation, MarketInstance, Outcome, replay_trade_log
 class CriterionResult:
     cid: str
     title: str
-    passed: bool
-    seconds: float
-    details: list[str] = field(default_factory=list)
+    seconds: float = 0.0
+    failures: list[str] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
 
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"{self.cid} {status} ({self.seconds:6.2f}s) {self.title}"
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
-
-class _Check:
-    """Collects assertion outcomes without aborting on the first failure."""
-
-    def __init__(self) -> None:
-        self.failures: list[str] = []
-        self.notes: list[str] = []
+    @property
+    def details(self) -> list[str]:
+        return self.failures + self.notes
 
     def expect(self, ok: bool, message: str) -> bool:
         if not ok:
@@ -45,6 +43,10 @@ class _Check:
 
     def note(self, message: str) -> None:
         self.notes.append(message)
+
+    def line(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        return f"{self.cid} {status} ({self.seconds:6.2f}s) {self.title}"
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +59,17 @@ def random_integer_instance(
 ) -> MarketInstance:
     values = rng.integers(low, high, size=(n, n)).astype(float)
     return MarketInstance.from_matrix(values)
+
+
+def _random_markets(
+    seed: int, trials: int
+) -> Iterator[tuple[MarketInstance, tuple[int, ...]]]:
+    """``trials`` random integer markets of 2 to 8 agents, each with a random pick order."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        n = int(rng.integers(2, 9))
+        inst = random_integer_instance(rng, n)
+        yield inst, tuple(int(j) for j in rng.permutation(n))
 
 
 def trade_log_soundness(
@@ -113,7 +126,7 @@ def trade_log_soundness(
 # ---------------------------------------------------------------------------
 
 
-def criterion_01(check: _Check) -> None:
+def criterion_01(check: CriterionResult) -> None:
     """Two-agent paid-swap scenario: picks, equilibrium transfers, CE point."""
     sc = scenarios.get_scenario("example-3.1")
     inst = sc.instance
@@ -140,7 +153,7 @@ def criterion_01(check: _Check) -> None:
     )
 
 
-def criterion_02(check: _Check) -> None:
+def criterion_02(check: CriterionResult) -> None:
     """Bilateral dead end: stable yet four units below the optimum."""
     sc = scenarios.get_scenario("example-4.1")
     inst = sc.instance
@@ -159,7 +172,7 @@ def criterion_02(check: _Check) -> None:
     check.expect(best == 14.0, f"enumerated optimum {best} != 14")
 
 
-def criterion_03(check: _Check) -> None:
+def criterion_03(check: CriterionResult) -> None:
     """Sequential transfers: the miss and the one-trade rescue."""
     miss = scenarios.get_scenario("example-5.1")
     _, miss_opt = equilibrium.brute_force_optimal(miss.instance)
@@ -189,7 +202,7 @@ def criterion_03(check: _Check) -> None:
             )
 
 
-def criterion_04(check: _Check) -> None:
+def criterion_04(check: CriterionResult) -> None:
     """Manipulation premium: 20 + split * 190, dominant at every split."""
     for k in range(11):
         lam = k / 10
@@ -209,15 +222,11 @@ def criterion_04(check: _Check) -> None:
     check.note("resale transfer at 0.5 split: 95")
 
 
-def criterion_05(check: _Check) -> None:
+def criterion_05(check: CriterionResult) -> None:
     """Equilibrium transfers hit the enumerated optimum on 500 random markets."""
-    rng = np.random.default_rng(20240517)
     welfare_ok = prices_ok = 0
     trials = 500
-    for _ in range(trials):
-        n = int(rng.integers(2, 9))
-        inst = random_integer_instance(rng, n)
-        order = tuple(int(j) for j in rng.permutation(n))
+    for inst, order in _random_markets(20240517, trials):
         out = mechanisms.expost_ce_transfers(inst, order)
         _, best = equilibrium.brute_force_optimal(inst)
         if market.total_welfare(inst, out.allocation) == best:
@@ -233,15 +242,11 @@ def criterion_05(check: _Check) -> None:
     check.note(f"{welfare_ok}/{trials} optimal, {prices_ok}/{trials} price-supported")
 
 
-def criterion_06(check: _Check) -> None:
+def criterion_06(check: CriterionResult) -> None:
     """Cycle trading after truthful picks never trades (200 random markets)."""
-    rng = np.random.default_rng(61803)
     ok = 0
     trials = 200
-    for _ in range(trials):
-        n = int(rng.integers(2, 9))
-        inst = random_integer_instance(rng, n)
-        order = tuple(int(j) for j in rng.permutation(n))
+    for inst, order in _random_markets(61803, trials):
         endow = mechanisms.serial_dictatorship(inst, order).allocation
         if mechanisms.ttc(inst, endow).assignment == endow.assignment:
             ok += 1
@@ -249,7 +254,7 @@ def criterion_06(check: _Check) -> None:
     check.note(f"{ok}/{trials} identity reallocations")
 
 
-def criterion_07(check: _Check) -> None:
+def criterion_07(check: CriterionResult) -> None:
     """Identical preferences collapse bilateral trading to plain picks."""
     rng = np.random.default_rng(1729)
     ok = 0
@@ -271,15 +276,11 @@ def criterion_07(check: _Check) -> None:
     check.note(f"{ok}/{trials} exact matches, zero trades")
 
 
-def criterion_08(check: _Check) -> None:
+def criterion_08(check: CriterionResult) -> None:
     """Every logged trade is mutually beneficial and the result dominates the
     pre-trade state: bilateral, sequential, and simulated aftermarkets."""
-    rng = np.random.default_rng(4242)
     examined = 0
-    for _ in range(60):
-        n = int(rng.integers(2, 9))
-        inst = random_integer_instance(rng, n)
-        order = tuple(int(j) for j in rng.permutation(n))
+    for inst, order in _random_markets(4242, 60):
         for policy in (
             mechanisms.TradePolicy(),
             mechanisms.TradePolicy(surplus_split=0.25, seller_reservation_floor=False),
@@ -312,12 +313,9 @@ def criterion_08(check: _Check) -> None:
     check.note(f"{examined} logged trades checked")
 
 
-def criterion_09(check: _Check) -> None:
+def criterion_09(check: CriterionResult) -> None:
     """When one-swap correction stays feasible, lookahead play is optimal."""
     rng = np.random.default_rng(5151)
-    # Gain-aligned bargaining, matching the feasibility check's assumptions:
-    # the proposer keeps the whole surplus and reservations are not floored.
-    policy = mechanisms.TradePolicy(surplus_split=0.0, seller_reservation_floor=False)
     found = 0
     attempts = 0
     matched = 0
@@ -329,7 +327,9 @@ def criterion_09(check: _Check) -> None:
         if not mechanisms.interim_feasibility_check(inst, order):
             continue
         found += 1
-        out = mechanisms.interim_transfers(inst, order, "lookback-strategic", policy)
+        out = mechanisms.interim_transfers(
+            inst, order, "lookback-strategic", mechanisms.GAIN_ALIGNED
+        )
         _, best = equilibrium.brute_force_optimal(inst)
         if market.total_welfare(inst, out.allocation) == best:
             matched += 1
@@ -338,7 +338,7 @@ def criterion_09(check: _Check) -> None:
     check.note(f"{found} feasible instances out of {attempts} sampled; {matched} optimal")
 
 
-def criterion_10(check: _Check) -> None:
+def criterion_10(check: CriterionResult) -> None:
     """Two-player bargaining: closed form, boundary offer, monotone offers,
     and the first-mover decomposition against a direct game rollout."""
     u = two_agent.Uniform(0.0, 1.0)
@@ -378,7 +378,7 @@ def criterion_10(check: _Check) -> None:
         check.note(f"choice {choice}: {eu:.5f} vs {sim_eu:.5f} (3se tol {tol:.5f})")
 
 
-def criterion_11(check: _Check) -> None:
+def criterion_11(check: CriterionResult) -> None:
     """Fee-split irrelevance, and small fees leaving the swap set unchanged."""
     rng = np.random.default_rng(9090)
     incidence_ok = 0
@@ -397,9 +397,7 @@ def criterion_11(check: _Check) -> None:
     reproduced = 0
     examined = 0
     attempts = 0
-    policy = mechanisms.TradePolicy(
-        surplus_split=0.0, pairwise_mode="single-pass", budget_enforced=False
-    )
+    policy = replace(housing.HOUSING_POLICY, budget_enforced=False)
     cfg = housing.SimConfig(n_agents=40)
     while examined < 50 and attempts < 300:
         attempts += 1
@@ -429,7 +427,7 @@ def criterion_11(check: _Check) -> None:
 _DESK_MASTER_SEED = 20240612
 
 
-def criterion_12(check: _Check) -> None:
+def criterion_12(check: CriterionResult) -> None:
     """Desk-scale welfare experiment: positive gains, (almost) no losers."""
     # scipy.stats costs about 0.5 s and 20 MB to import; only C12 and C13 use it.
     from scipy import stats as scipy_stats
@@ -452,7 +450,7 @@ def criterion_12(check: _Check) -> None:
     check.note(f"nonzero-delta skewness {skew:+.3f} (left skew reported, not asserted)")
 
 
-def criterion_13(check: _Check) -> None:
+def criterion_13(check: CriterionResult) -> None:
     """Wealth ladder: gains rise with budget and bend logarithmically."""
     # scipy.stats costs about 0.5 s and 20 MB to import; only C12 and C13 use it.
     from scipy import stats as scipy_stats
@@ -473,7 +471,7 @@ def criterion_13(check: _Check) -> None:
         budgets = np.concatenate([r.budgets0 for r in batch.reports])
         delta = batch.pooled_delta
         rho, pval = scipy_stats.spearmanr(budgets, delta)
-        groups = np.concatenate([np.arange(1000) // 10 for _ in range(batch.n_reps)])
+        groups = np.concatenate([np.arange(1000) // 10 for _ in batch.reports])
         group_budget = np.array([budgets[groups == g][0] for g in range(100)])
         group_delta = np.array([float(delta[groups == g].mean()) for g in range(100)])
         r2 = {}
@@ -495,7 +493,7 @@ def criterion_13(check: _Check) -> None:
             )
 
 
-def criterion_14(check: _Check) -> None:
+def criterion_14(check: CriterionResult) -> None:
     """Friction sweep: gains fade monotonically and die past the bound.
 
     The zero-fee row must equal a plain run on the same seed, which is C12's
@@ -526,7 +524,7 @@ def criterion_14(check: _Check) -> None:
     check.note(f"trades along sweep: {[r.trades for r in rows]}")
 
 
-def criterion_15(check: _Check) -> None:
+def criterion_15(check: CriterionResult) -> None:
     """Full-scale replication: fast, lean, and bit-for-bit reproducible."""
     cfg = housing.SimConfig(n_agents=10_000)
     tracemalloc.start()
@@ -561,7 +559,7 @@ def criterion_15(check: _Check) -> None:
 # ---------------------------------------------------------------------------
 
 
-_CRITERIA: list[tuple[str, str, Callable[[_Check], None]]] = [
+_CRITERIA: list[tuple[str, str, Callable[[CriterionResult], None]]] = [
     ("C01", "paid swap beats plain picks and is a valid equilibrium point", criterion_01),
     ("C02", "bilateral trading can stall below the optimum", criterion_02),
     ("C03", "sequential transfers miss, then a latecomer rescues", criterion_03),
@@ -605,17 +603,10 @@ def run_paper_suite(
     for cid, title, fn in _CRITERIA:
         if (wanted is not None and cid not in wanted) or cid in skipped:
             continue
-        check = _Check()
+        result = CriterionResult(cid, title)
         t0 = time.perf_counter()
-        fn(check)
-        elapsed = time.perf_counter() - t0
-        result = CriterionResult(
-            cid=cid,
-            title=title,
-            passed=not check.failures,
-            seconds=elapsed,
-            details=check.failures + check.notes,
-        )
+        fn(result)
+        result.seconds = time.perf_counter() - t0
         results.append(result)
         printer(result.line())
         for line in result.details:

@@ -603,7 +603,10 @@ class TestSimCommands:
         assert code == 2 and out == "" and "--mode" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("tau_list", ["none", "proportional:0,0.1", "fixed:"])
+    @pytest.mark.parametrize(
+        "tau_list",
+        ["none", "proportional:0,0.1", "fixed:", "prop:0,inf", "fixed:0,1e400", "fixed:0,nan"],
+    )
     def test_malformed_tau_list_is_exit_3(self, tmp_path, tau_list):
         code, out, err = _run_captured(["sim", "sweep", "--agents", "20", "--seed", "1",
                                         "--tau-list", tau_list, "--out", str(tmp_path / "out")])

@@ -127,7 +127,7 @@ class TestSingleReplication:
         assert again.trades == desk_report.trades
 
     def test_money_conservation(self, desk_report):
-        assert abs(desk_report.transfers.sum()) <= 1e-9 * desk_report.n_agents
+        assert abs(desk_report.transfers.sum()) <= 1e-9 * len(desk_report.budgets0)
         final_cash = desk_report.budgets0 + desk_report.transfers - desk_report.fees
         total = final_cash.sum() + desk_report.fees_collected
         assert total == pytest.approx(desk_report.budgets0.sum(), rel=1e-12)
@@ -151,7 +151,7 @@ class TestSingleReplication:
         treatment = desk_report.welfare_treatment.sum()
         baseline = desk_report.welfare_baseline.sum()
         assert treatment - baseline == pytest.approx(desk_report.total_gain)
-        assert desk_report.histogram_counts.sum() == desk_report.n_agents
+        assert desk_report.histogram_counts.sum() == len(desk_report.budgets0)
 
     @pytest.mark.parametrize(
         "n_agents, seed, expected",
@@ -176,9 +176,9 @@ class TestSingleReplication:
         assert rep.trade_count == 0
         assert rep.total_gain == 0.0  # picks join the truthful baseline exactly
 
-    def test_every_trade_has_positive_buyer_utility(self, desk_report):
+    def test_every_trade_has_positive_buyer_utility(self, desk_config, desk_report):
         state = dict(enumerate(desk_report.treatment_endowment))
-        inst = generate_instance(SimConfig(n_agents=desk_report.n_agents), desk_report.seed)
+        inst = generate_instance(desk_config, desk_report.seed)
         for rec in desk_report.trades:
             gain = (
                 inst.market.value(rec.proposer, rec.item_acquired)
@@ -212,7 +212,7 @@ class TestBatch:
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
         batch = batch_run(desk_config, 2, master_seed=7, parallelism=2)
-        assert batch.n_reps == 2
+        assert len(batch.reports) == 2
 
     @pytest.mark.parametrize("parallelism", [0, -1])
     def test_nonpositive_parallelism_rejected(self, desk_config, parallelism):
@@ -244,6 +244,11 @@ class TestSweep:
     def test_unsorted_taus_rejected(self, desk_config):
         with pytest.raises(ValueError):
             transaction_cost_sweep(desk_config, [5.0, 1.0], seed=1)
+
+    @pytest.mark.parametrize("taus", [[0.0, float("inf")], [float("nan")]])
+    def test_non_finite_taus_rejected(self, desk_config, taus):
+        with pytest.raises(ValueError, match="finite"):
+            transaction_cost_sweep(desk_config, taus, seed=1)
 
 
 class TestTaxIncidence:
