@@ -35,7 +35,6 @@ from .market import (
     save_instance,
     total_welfare,
     utilities,
-    utility,
     validate_outcome,
 )
 from .mechanisms import (
@@ -47,7 +46,6 @@ from .mechanisms import (
     interim_transfers,
     pairwise_aftermarket,
     serial_dictatorship,
-    strategic_rsd_counterexample,
     ttc,
 )
 from .scenarios import Scenario, get_scenario, scenario_names

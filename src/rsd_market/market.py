@@ -434,14 +434,8 @@ def zero_outcome(allocation: Allocation) -> Outcome:
 # ---------------------------------------------------------------------------
 
 
-def utility(instance: MarketInstance, outcome: Outcome, agent: int) -> float:
-    """Quasilinear payoff: item value plus cash plus net transfer, less sale fees."""
-    if not 0 <= agent < instance.n_agents:
-        raise ValueError(f"agent {agent} out of range")
-    return float(utilities(instance, outcome)[agent])
-
-
 def utilities(instance: MarketInstance, outcome: Outcome) -> np.ndarray:
+    """Quasilinear payoffs: item value plus cash plus net transfer, less sale fees."""
     held = instance.held_values(outcome.allocation.to_array())
     return held + instance.budgets + np.asarray(outcome.transfers, float) - outcome.seller_costs()
 

@@ -14,8 +14,7 @@ deterministic given them:
 
 Both trade engines price swaps with ``bilateral_price``; with
 ``budget_enforced`` set, neither side of a trade may pay more cash than it
-holds.  ``interim_feasibility_check`` replays the interim engine's trade log,
-which holds at most one trade per turn, logged in pick order.
+holds.
 """
 
 from __future__ import annotations
@@ -39,11 +38,9 @@ from .market import (
     Outcome,
     TradeRecord,
     ValuationBackend,
-    replay_trade_log,
     validate_order,
     zero_outcome,
 )
-from .scenarios import get_scenario
 
 PairwiseMode = Literal["fixed-point", "single-pass"]
 AgentModel = Literal["myopic", "lookback-strategic"]
@@ -487,70 +484,39 @@ def interim_transfers(
 def interim_feasibility_check(instance: MarketInstance, order: Sequence[int]) -> bool:
     """Can each picker reach the running welfare optimum with one pick plus one swap?
 
-    Simulates the sequential pick-and-backward-trade play under gain-aligned
-    bargaining (the proposer captures the whole surplus, reservations may be
-    negative) and checks, after every turn, that the welfare of the processed
-    prefix equals the optimum an assignment solver finds for those agents over
-    all items.  Under that bargaining the play always attains whatever a
-    single pick plus a single backward swap can reach, so welfare tracking the
-    prefix optimum is exactly one-swap reachability at every turn.
+    Walks the order keeping each agent's held item.  A picker either takes
+    their favorite available item, or takes predecessor k's favorite
+    available item and swaps it for k's held item.  The move that adds the
+    most welfare is made; ties go to the favorite, then to the earliest
+    predecessor, and every favorite breaks ties toward the lowest item id.
+    After every turn, the welfare of the processed prefix must equal the
+    optimum an assignment solver finds for those agents over all items.
     """
     order_t = validate_order(order, instance.n_agents)
-    outcome = interim_transfers(instance, order_t, "lookback-strategic", GAIN_ALIGNED)
-
-    # Undoing the trade log recovers each agent's own pick; trades are logged
-    # one per turn in pick order, so prefix states can be replayed exactly.
-    picks, _ = replay_trade_log(outcome)
     values = instance.dense_matrix()
-    held: dict[int, int] = {}
-    trades = {rec.proposer: rec for rec in outcome.trade_log}
+    held = np.full(instance.n_agents, -1, dtype=np.int64)
+    available = np.ones(instance.n_items, dtype=bool)
     for turn, j in enumerate(order_t):
-        pick = picks.assignment[j]
-        if pick is None:
+        if not np.any(available):
             break
-        held[j] = pick
-        rec = trades.get(j)
-        if rec is not None:
-            held[j] = rec.item_acquired
-            held[rec.counterparty] = rec.item_given
+        earlier = np.asarray(order_t[:turn], dtype=np.int64)
+        # The picker's favorite first, then each predecessor's.
+        lures = np.argmax(np.where(available, values[np.append(j, earlier)], -np.inf), axis=1)
+        kept = held[earlier]
+        swaps = values[j, kept] + values[earlier, lures[1:]] - values[earlier, kept]
+        gains = np.append(values[j, lures[0]], swaps)
+        best = int(np.argmax(gains))
+        if best:
+            k = earlier[best - 1]
+            held[j], held[k] = held[k], lures[best]
+        else:
+            held[j] = lures[0]
+        available[lures[best]] = False
         prefix = list(order_t[: turn + 1])
         rows = values[prefix]
         rr, cc = linear_sum_assignment(rows, maximize=True)
         target = float(rows[rr, cc].sum())
-        achieved = float(sum(values[prefix, [held[a] for a in prefix]].tolist()))
+        achieved = float(sum(values[prefix, held[prefix]].tolist()))
         if achieved < target - _ATOL:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Scripted manipulation scenario
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StrategyBranch:
-    label: str
-    payoff: float
-
-
-def strategic_rsd_counterexample(surplus_split: float = 0.5) -> tuple[StrategyBranch, ...]:
-    """The first picker's payoff under three strategies in ``example-4.2``.
-
-    The first picker values room 0 at 20 and everything else at 10; the second
-    picker values room 1 at 200 and everything else at 10 and can pay.  The
-    first picker can settle for a generic room, take their favorite room, or
-    grab the rival's favorite and sell it back at the policy price.
-    """
-    value = get_scenario("example-4.2").instance.value
-    # The resale: A holds room 1, B holds room 0; B buys room 1 from A.
-    feasible, price = bilateral_price(
-        value(0, 1) - value(0, 0), value(1, 1) - value(1, 0), TradePolicy(surplus_split)
-    )
-    if not feasible:
-        raise InternalInvariantError("the resale branch must always be viable")
-    return (
-        StrategyBranch("generic-room", value(0, 2)),
-        StrategyBranch("honest-favorite", value(0, 0)),
-        StrategyBranch("grab-and-resell", value(0, 0) + float(price)),
-    )

@@ -204,21 +204,25 @@ def criterion_03(check: CriterionResult) -> None:
 
 def criterion_04(check: CriterionResult) -> None:
     """Manipulation premium: 20 + split * 190, dominant at every split."""
+    # In example-4.2 the first picker values room 0 at 20 and everything else
+    # at 10; the second values room 1 at 200 and everything else at 10 and can
+    # pay.  Honest, the first picker takes room 0.  Manipulating, they grab
+    # room 1 and sell it back for room 0 at the policy price.
+    value = scenarios.get_scenario("example-4.2").instance.value
+    honest = value(0, 0)
+    check.expect(honest == 20.0, "honest branch payoff moved")
     for k in range(11):
         lam = k / 10
-        payoffs = {b.label: b.payoff for b in mechanisms.strategic_rsd_counterexample(lam)}
+        viable, price = mechanisms.bilateral_price(
+            value(0, 1) - value(0, 0), value(1, 1) - value(1, 0), mechanisms.TradePolicy(lam)
+        )
+        check.expect(bool(viable), f"split {lam}: resale not viable")
+        resale = honest + float(price)
         expected = 20.0 + lam * 190.0
-        check.expect(
-            payoffs["grab-and-resell"] == expected,
-            f"split {lam}: resale payoff {payoffs['grab-and-resell']} != {expected}",
-        )
-        check.expect(payoffs["honest-favorite"] == 20.0, "honest branch payoff moved")
-        check.expect(
-            payoffs["grab-and-resell"] >= payoffs["honest-favorite"],
-            f"split {lam}: manipulation not weakly dominant",
-        )
-    at_half = mechanisms.strategic_rsd_counterexample(0.5)[2].payoff
-    check.expect(at_half == 115.0, f"midpoint payoff {at_half} != 115")
+        check.expect(resale == expected, f"split {lam}: resale payoff {resale} != {expected}")
+        check.expect(resale >= honest, f"split {lam}: manipulation not weakly dominant")
+        if lam == 0.5:
+            check.expect(resale == 115.0, f"midpoint payoff {resale} != 115")
     check.note("resale transfer at 0.5 split: 95")
 
 

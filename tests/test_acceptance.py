@@ -17,6 +17,7 @@ _STATED_BUDGETS = {
     "C05": 60.0,
     "C06": 30.0,
     "C07": 10.0,
+    "C08": 30.0,
     "C09": 60.0,
     "C10": 120.0,
     "C11": 30.0,

@@ -60,9 +60,9 @@ FULL_SPLIT = MarketInstance.from_matrix([
 
 
 @st.composite
-def markets(draw):
-    m = draw(st.integers(2, 6))
-    n = draw(st.integers(max(1, m - 2), m + 2))
+def markets(draw, max_agents=6, max_items=8):
+    m = draw(st.integers(2, max_agents))
+    n = draw(st.integers(max(1, m - 2), min(m + 2, max_items)))
     kind = draw(st.sampled_from(["integer", "normal", "ties"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "integer":
@@ -136,6 +136,25 @@ class TestEveryEngine:
             assert np.all(utilities(inst, ce) >= u_sd - 1e-9)
             _, best = brute_force_optimal(inst)
             assert abs(total_welfare(inst, ce.allocation) - best) <= 1e-9 * max(1.0, abs(best))
+
+
+class TestSerialDictatorshipIsStrategyProof:
+    @given(inst=markets(max_agents=4, max_items=4), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_no_permuted_report_pays(self, inst, seed):
+        # The paper's premise (Abdulkadiroglu and Sonmez, 1998): without
+        # transfers, no agent gains by misreporting.  Every permutation of an
+        # agent's own row covers every ranking of its values.
+        order = tuple(int(j) for j in np.random.default_rng(seed).permutation(inst.n_agents))
+        values = inst.dense_matrix()
+        truthful = inst.held_values(serial_dictatorship(inst, order).allocation.to_array())
+        for j in range(inst.n_agents):
+            for row in set(itertools.permutations(values[j].tolist())):
+                report = values.copy()
+                report[j] = row
+                out = serial_dictatorship(MarketInstance.from_matrix(report), order)
+                gained = inst.held_values(out.allocation.to_array())[j]
+                assert gained <= truthful[j], (j, row)
 
 
 class TestPinnedCases:

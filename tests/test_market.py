@@ -22,7 +22,6 @@ from rsd_market.market import (
     save_instance,
     total_welfare,
     utilities,
-    utility,
     validate_outcome,
     zero_outcome,
 )
@@ -235,8 +234,7 @@ class TestAllocation:
 class TestUtility:
     def test_quasilinear_sum(self, paired_market):
         out = Outcome(Allocation((0, 1)), (0.0, 0.0))
-        assert utility(paired_market, out, 0) == 7.0
-        assert utility(paired_market, out, 1) == 6.0
+        assert utilities(paired_market, out).tolist() == [7.0, 6.0]
 
     def test_swap_with_payment(self, paired_market):
         out = Outcome(Allocation((1, 0)), (2.0, -2.0))
@@ -245,12 +243,7 @@ class TestUtility:
     def test_null_assignment_contributes_nothing(self):
         inst = MarketInstance.from_matrix([[4.0]], [0.0])
         out = Outcome(Allocation((None,)), (0.0,))
-        assert utility(inst, out, 0) == 0.0
-
-    def test_agent_out_of_range(self, paired_market):
-        out = zero_outcome(Allocation((0, 1)))
-        with pytest.raises(ValueError):
-            utility(paired_market, out, 7)
+        assert utilities(inst, out)[0] == 0.0
 
     @given(delta=st.floats(-1e6, 1e6), agent=st.integers(0, 1))
     @settings(max_examples=50, deadline=None)
@@ -260,8 +253,8 @@ class TestUtility:
         transfers = [0.0, 0.0]
         transfers[agent] += delta
         shifted = Outcome(Allocation((0, 1)), tuple(transfers))
-        assert utility(inst, shifted, agent) == pytest.approx(
-            utility(inst, base, agent) + delta
+        assert utilities(inst, shifted)[agent] == pytest.approx(
+            utilities(inst, base)[agent] + delta
         )
 
 

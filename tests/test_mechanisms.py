@@ -18,7 +18,6 @@ from rsd_market.market import (
     random_order,
     total_welfare,
     utilities,
-    utility,
     validate_outcome,
 )
 from rsd_market.mechanisms import (
@@ -32,7 +31,6 @@ from rsd_market.mechanisms import (
     pairwise_aftermarket,
     parse_cost,
     serial_dictatorship,
-    strategic_rsd_counterexample,
     ttc,
 )
 from rsd_market.scenarios import get_scenario
@@ -311,7 +309,6 @@ class TestPairwiseTransfers:
         out = expost_pairwise_transfers(sc.instance, (0, 1), cost=TransactionCost("fixed", 2.0))
         assert out.seller_costs().tolist() == [2.0, 0.0]
         assert utilities(sc.instance, out).tolist() == [10.0, 9.0]
-        assert utility(sc.instance, out, 0) == 10.0
 
     def test_inconsistent_log_is_reported_not_raised(self):
         sc = get_scenario("example-3.1")
@@ -640,36 +637,37 @@ class TestInterimTransfers:
             interim_transfers(inst, (0,), "clairvoyant")
 
 
+def resale_payoff(split: float) -> float:
+    """Example 4.2's manipulator: grab room 1, sell it back for room 0."""
+    value = get_scenario("example-4.2").instance.value
+    viable, price = bilateral_price(
+        value(0, 1) - value(0, 0), value(1, 1) - value(1, 0), TradePolicy(split)
+    )
+    assert viable
+    return value(0, 0) + float(price)
+
+
 class TestStrategicScenario:
     def test_branch_payoffs_at_midpoint(self):
-        payoffs = {b.label: b.payoff for b in strategic_rsd_counterexample(0.5)}
-        assert payoffs == {
-            "generic-room": 10.0,
-            "honest-favorite": 20.0,
-            "grab-and-resell": 115.0,
-        }
+        sc = get_scenario("example-4.2")
+        value = sc.instance.value
+        assert serial_dictatorship(sc.instance, sc.default_order).allocation.assignment[0] == 0
+        assert value(0, 0) == 20.0 > value(0, 2) == 10.0
         # The resale transfer is what the manipulator gains over the honest pick.
-        assert payoffs["grab-and-resell"] - payoffs["honest-favorite"] == 95.0
-        assert max(payoffs, key=payoffs.get) == "grab-and-resell"
+        assert resale_payoff(0.5) == 115.0
+        assert resale_payoff(0.5) - value(0, 0) == 95.0
 
     def test_payoffs_come_from_the_scenario(self):
         value = get_scenario("example-4.2").instance.value
-        branches = strategic_rsd_counterexample(1.0)
-        assert [b.payoff for b in branches] == [
-            value(0, 2), value(0, 0), value(0, 0) + value(1, 1) - value(1, 0)
-        ]
+        assert resale_payoff(1.0) == value(0, 0) + value(1, 1) - value(1, 0)
 
     def test_buyer_optimal_split_still_weakly_dominant(self):
-        branches = strategic_rsd_counterexample(0.0)
-        assert branches[2].payoff == 20.0
-        assert branches[2].payoff - branches[1].payoff == 0.0
+        assert resale_payoff(0.0) == 20.0
 
     def test_manipulation_grows_with_split(self):
-        gains = []
-        for k in range(11):
-            _, honest, resale = strategic_rsd_counterexample(k / 10)
-            gains.append(resale.payoff - honest.payoff)
+        gains = [resale_payoff(k / 10) - 20.0 for k in range(11)]
         assert gains == sorted(gains)
+        assert gains[-1] == 190.0
 
 
 class TestAftermarketEngine:
