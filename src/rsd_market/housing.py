@@ -78,8 +78,8 @@ class WealthModel:
 def parse_wealth(spec: str) -> WealthModel:
     """Parse ``equal:AMOUNT`` or ``powerlaw:GROUPS,BASE,PER_GROUP``."""
     kind, _, rest = spec.partition(":")
-    if kind == "equal":
-        return WealthModel(kind="equal", amount=float(rest) if rest else 10_000.0)
+    if kind == "equal" and rest:
+        return WealthModel(kind="equal", amount=float(rest))
     if kind == "powerlaw":
         groups, base, per = rest.split(",")
         return WealthModel(
@@ -408,25 +408,17 @@ def tax_incidence_check(
     return True
 
 
-def small_tau_bound(
-    instance: MarketInstance,
-    allocation: Allocation,
-    order: Sequence[int] | None = None,
-    policy: TradePolicy | None = None,
-) -> float:
-    """Smallest executed-trade margin of the frictionless aftermarket.
+def small_tau_bound(instance: MarketInstance, log: Sequence[TradeRecord]) -> float:
+    """Smallest buyer margin among the trades of a fee-free aftermarket log.
 
-    Any fixed fee strictly below the returned value leaves every trade
-    decision (and hence the final room swaps) unchanged, because a fixed fee
-    shifts all candidate prices uniformly.  Infinite when the frictionless run
-    executes no trades.  Budgets are ignored: the bound concerns the trade
-    decisions themselves.
+    For an aftermarket run without budgets, any fixed fee strictly below the
+    returned value leaves every trade decision (and hence the final room
+    swaps) unchanged, because a fixed fee shifts all candidate prices
+    uniformly.  Infinite for a log without trades.  A log whose trades paid a
+    fee raises ``ValueError``.
     """
-    order_t = tuple(range(instance.n_agents)) if order is None else tuple(order)
-    pol = policy or replace(HOUSING_POLICY, budget_enforced=False)
-    if pol.budget_enforced:
-        raise ValueError("the friction bound is defined for unconstrained budgets")
-    _, _, log = pairwise_aftermarket(instance, allocation, order_t, pol, NO_COST)
+    if any(rec.cost for rec in log):
+        raise ValueError("the fee bound reads a fee-free trade log")
     if not log:
         return float("inf")
     proposers = [rec.proposer for rec in log]

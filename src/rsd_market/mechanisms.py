@@ -248,8 +248,7 @@ def ttc(instance: MarketInstance, endowment: Allocation) -> Allocation:
 def expost_ce_transfers(instance: MarketInstance, order: Sequence[int]) -> Outcome:
     """Truthful picks fix endowments, then the endowed items are reshuffled to
     the welfare maximum with transfers read off minimal supporting prices."""
-    order_t = validate_order(order, instance.n_agents)
-    endowment = Allocation.from_array(sd_assignment(instance.valuations, order_t))
+    endowment = serial_dictatorship(instance, order).allocation
     items = endowment.items()
     if not items:
         return zero_outcome(endowment)
@@ -275,10 +274,12 @@ def pairwise_aftermarket(
 ) -> tuple[Allocation, tuple[float, ...], tuple[TradeRecord, ...]]:
     """Run bilateral trading from an endowment; returns (allocation, transfers, log).
 
-    Proposers are visited in pick order and act as buyers: against every
-    candidate seller the price is the seller's (floored, fee-grossed)
-    reservation plus the policy's share of the remaining gain, and the best
-    trade with strictly positive buyer gain executes; with ``budget_enforced``
+    Proposers are visited in pick order and act as buyers.  A swap with a
+    candidate seller is feasible when the buyer's gain in value strictly
+    exceeds the seller's (floored, fee-grossed) reservation, and it is priced
+    at that reservation plus the policy's share of the gap (``bilateral_price``).
+    The feasible trade that leaves the buyer the most executes, even when the
+    buyer gains exactly 0, as at a split of 1; with ``budget_enforced``
     set, neither side may pay more cash than it holds.  ``single-pass`` visits
     each agent once and freezes buyers afterwards; ``fixed-point`` sweeps until
     a full pass executes nothing.
@@ -366,18 +367,16 @@ def pairwise_aftermarket(
             for_sale[item_k] = False
         return True
 
-    if single_pass:
-        for j in order_t:
-            visit(j)
+    # Single-pass stops after its first sweep.  Fixed-point sweeps until one
+    # executes nothing: each executed trade strictly raises total allocation
+    # welfare, which is a pure function of the (finite) allocation state, so
+    # the sweeps must reach a fixed point; the cap only guards against the
+    # impossible.
+    for _ in range(max(1000, 20 * m * n)):
+        if not any([visit(j) for j in order_t]) or single_pass:
+            break
     else:
-        # Each executed trade strictly raises total allocation welfare, which is
-        # a pure function of the (finite) allocation state, so the sweeps must
-        # reach a fixed point; the cap only guards against the impossible.
-        for _ in range(max(1000, 20 * m * n)):
-            if not any([visit(j) for j in order_t]):
-                break
-        else:
-            raise InternalInvariantError("pairwise sweeps failed to reach a fixed point")
+        raise InternalInvariantError("pairwise sweeps failed to reach a fixed point")
 
     return Allocation.from_array(assignment), tuple(float(t) for t in transfers), tuple(log)
 
@@ -390,9 +389,8 @@ def expost_pairwise_transfers(
 ) -> Outcome:
     """Truthful picks, then bilateral trading until stable (or one pass)."""
     policy = policy or TradePolicy()
-    order_t = validate_order(order, instance.n_agents)
-    endowment = Allocation.from_array(sd_assignment(instance.valuations, order_t))
-    allocation, transfers, log = pairwise_aftermarket(instance, endowment, order_t, policy, cost)
+    endowment = serial_dictatorship(instance, order).allocation
+    allocation, transfers, log = pairwise_aftermarket(instance, endowment, order, policy, cost)
     return Outcome(allocation=allocation, transfers=transfers, trade_log=log)
 
 

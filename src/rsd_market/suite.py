@@ -407,14 +407,12 @@ def criterion_11(check: CriterionResult) -> None:
         attempts += 1
         inst = housing.generate_instance(cfg, seed=600_000 + attempts).market
         order = housing.replication_order(cfg, seed=600_000 + attempts)
-        endow = Allocation.from_array(mechanisms.sd_assignment(inst.valuations, order))
-        gamma_star = housing.small_tau_bound(inst, endow, order, policy)
+        endow = mechanisms.serial_dictatorship(inst, order).allocation
+        base_alloc, _, base_log = mechanisms.pairwise_aftermarket(inst, endow, order, policy)
+        gamma_star = housing.small_tau_bound(inst, base_log)
         if gamma_star == np.inf:
             continue
         examined += 1
-        base_alloc, _, base_log = mechanisms.pairwise_aftermarket(
-            inst, endow, order, policy, mechanisms.NO_COST
-        )
         tau = mechanisms.TransactionCost("fixed", gamma_star / 2)
         taxed_alloc, _, taxed_log = mechanisms.pairwise_aftermarket(
             inst, endow, order, policy, tau

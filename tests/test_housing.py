@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rsd_market.housing import (
+    HOUSING_POLICY,
     MEAN_RANGE,
     VARIANCE_RANGE,
     SimConfig,
@@ -26,7 +27,7 @@ from rsd_market.housing import (
     transaction_cost_sweep,
 )
 from rsd_market.market import Allocation, MarketInstance, Outcome, derive_seed, validate_outcome
-from rsd_market.mechanisms import NO_COST, TradePolicy, TransactionCost, sd_assignment
+from rsd_market.mechanisms import NO_COST, TransactionCost, pairwise_aftermarket, sd_assignment
 from rsd_market.scenarios import get_scenario
 from rsd_market.suite import trade_log_soundness
 
@@ -81,8 +82,10 @@ class TestGeneration:
         assert parse_wealth("equal:500").amount == 500.0
         pl = parse_wealth("powerlaw:1000,1.01,10")
         assert (pl.n_groups, pl.base, pl.agents_per_group) == (1000, 1.01, 10)
-        with pytest.raises(ValueError):
-            parse_wealth("lognormal:1")
+        # An equal wealth model has one spelling, with its amount.
+        for spec in ("lognormal:1", "equal", "equal:"):
+            with pytest.raises(ValueError, match="malformed wealth spec"):
+                parse_wealth(spec)
 
 
 class TestPublicAndAugmentedValues:
@@ -274,41 +277,42 @@ class TestTaxIncidence:
 
 
 class TestSmallTauBound:
+    # The housing aftermarket without budgets, the run the bound describes.
+    POLICY = dataclasses.replace(HOUSING_POLICY, budget_enforced=False)
+
+    def aftermarket_log(self, inst, endow, order, cost=NO_COST):
+        return pairwise_aftermarket(inst, endow, order, self.POLICY, cost)[2]
+
     def test_paired_market_headroom(self):
         inst = get_scenario("example-3.1").instance
-        assert small_tau_bound(inst, Allocation((0, 1))) == 8.0
+        log = self.aftermarket_log(inst, Allocation((0, 1)), (0, 1))
+        assert small_tau_bound(inst, log) == 8.0
 
     def test_stable_market_is_unbounded(self):
-        sc = get_scenario("example-4.1")
-        alloc = Allocation((2, 0, 1))
-        assert small_tau_bound(sc.instance, alloc) == np.inf
+        inst = get_scenario("example-4.1").instance
+        log = self.aftermarket_log(inst, Allocation((2, 0, 1)), (0, 1, 2))
+        assert log == () and small_tau_bound(inst, log) == np.inf
 
     def test_half_headroom_preserves_swaps(self):
-        from rsd_market.mechanisms import NO_COST, pairwise_aftermarket
-
         cfg = SimConfig(n_agents=50)
         inst = generate_instance(cfg, 21).market
         order = replication_order(cfg, 21)
         endow = Allocation.from_array(sd_assignment(inst.valuations, order))
-        policy = TradePolicy(
-            surplus_split=0.0, pairwise_mode="single-pass", budget_enforced=False
-        )
-        bound = small_tau_bound(inst, endow, order, policy)
+        base_log = self.aftermarket_log(inst, endow, order)
+        bound = small_tau_bound(inst, base_log)
         assert bound < np.inf
-        _, _, base_log = pairwise_aftermarket(inst, endow, order, policy, NO_COST)
-        _, _, taxed_log = pairwise_aftermarket(
-            inst, endow, order, policy, TransactionCost("fixed", bound / 2)
-        )
+        taxed_log = self.aftermarket_log(inst, endow, order, TransactionCost("fixed", bound / 2))
         base = [(r.proposer, r.counterparty, r.item_acquired) for r in base_log]
         taxed = [(r.proposer, r.counterparty, r.item_acquired) for r in taxed_log]
         assert base == taxed
 
-    def test_budget_enforcement_rejected(self):
+    def test_taxed_log_rejected(self):
         inst = get_scenario("example-3.1").instance
-        with pytest.raises(ValueError):
-            small_tau_bound(
-                inst, Allocation((0, 1)), policy=TradePolicy(budget_enforced=True)
-            )
+        fee = TransactionCost("fixed", 1.0)
+        log = self.aftermarket_log(inst, Allocation((0, 1)), (0, 1), fee)
+        assert [rec.cost for rec in log] == [1.0]
+        with pytest.raises(ValueError, match="fee-free"):
+            small_tau_bound(inst, log)
 
 
 @st.composite

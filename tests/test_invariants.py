@@ -6,12 +6,15 @@ every logged trade must be mutually beneficial; no trader may end with
 negative cash when budgets are enforced; and on square markets the ex-post
 equilibrium reshuffle must be supported by its prices, reach the
 brute-force welfare optimum and leave no agent below their plain-pick
-utility.
+utility.  An exhaustive search over permuted reports checks that no agent
+gains by misreporting under serial dictatorship, and pins how often each
+transfer engine can be manipulated.
 """
 
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +36,7 @@ from rsd_market.mechanisms import (
     serial_dictatorship,
     ttc,
 )
+from rsd_market.scenarios import get_scenario
 from rsd_market.suite import trade_log_soundness
 
 SPLITS = (0.0, 0.3, 0.5, 1.0)
@@ -96,6 +100,29 @@ def buyer_gains(instance, outcome):
     ]
 
 
+def report_payoffs(engine, instance, order, j):
+    """Agent j's true payoff under each distinct permutation of its own row.
+
+    The engine re-runs on the same order with the permuted report; the row
+    itself is among the reports, so the maximum is the best deviation.
+    """
+    values = instance.dense_matrix()
+    for row in set(itertools.permutations(values[j].tolist())):
+        report = values.copy()
+        report[j] = row
+        outcome = engine(MarketInstance.from_matrix(report, instance.budgets), order)
+        yield float(utilities(instance, outcome)[j])
+
+
+def manipulable(engine, instance, order):
+    truthful = utilities(instance, engine(instance, order))
+    return any(
+        payoff > truthful[j] + 1e-9
+        for j in range(instance.n_agents)
+        for payoff in report_payoffs(engine, instance, order, j)
+    )
+
+
 class TestEveryEngine:
     @given(inst=markets(), seed=st.integers(0, 2**16))
     @example(inst=INTERIM_BUDGET, seed=0)
@@ -146,15 +173,61 @@ class TestSerialDictatorshipIsStrategyProof:
         # transfers, no agent gains by misreporting.  Every permutation of an
         # agent's own row covers every ranking of its values.
         order = tuple(int(j) for j in np.random.default_rng(seed).permutation(inst.n_agents))
-        values = inst.dense_matrix()
-        truthful = inst.held_values(serial_dictatorship(inst, order).allocation.to_array())
+        truthful = utilities(inst, serial_dictatorship(inst, order))
         for j in range(inst.n_agents):
-            for row in set(itertools.permutations(values[j].tolist())):
-                report = values.copy()
-                report[j] = row
-                out = serial_dictatorship(MarketInstance.from_matrix(report), order)
-                gained = inst.held_values(out.allocation.to_array())[j]
-                assert gained <= truthful[j], (j, row)
+            assert max(report_payoffs(serial_dictatorship, inst, order, j)) <= truthful[j], j
+
+
+class TestPermutedReportSearch:
+    """An exhaustive misreport search: transfers break strategy-proofness."""
+
+    ENGINES = {
+        "sd": serial_dictatorship,
+        "expost-ce": expost_ce_transfers,
+        "expost-pairwise": expost_pairwise_transfers,
+        "interim-lookback": interim_transfers,  # lookback is its default model
+    }
+
+    @pytest.fixture(scope="class")
+    def integer_markets(self):
+        rng = np.random.default_rng(2024)
+        out = []
+        for _ in range(200):
+            n = int(rng.integers(2, 5))
+            values = rng.integers(0, 20, (n, n)).astype(float)
+            order = tuple(int(j) for j in rng.permutation(n))
+            out.append((MarketInstance.from_matrix(values), order))
+        return out
+
+    # Counts of the 200 markets where some agent's permuted report pays; a
+    # change in any engine's incentives moves its count.
+    @pytest.mark.parametrize(
+        "engine, count",
+        [("sd", 0), ("expost-ce", 126), ("expost-pairwise", 132), ("interim-lookback", 129)],
+    )
+    def test_manipulable_market_counts(self, integer_markets, engine, count):
+        run = self.ENGINES[engine]
+        assert sum(manipulable(run, inst, order) for inst, order in integer_markets) == count
+
+    @pytest.mark.parametrize("split", [0.0, 0.5, 1.0])
+    def test_example_42_best_deviation(self, split):
+        # Truthful play gives agent 0 its favourite, worth 20; a misreported
+        # ranking can pay more once the engine's trades let it sell agent 1
+        # the room that agent 1 values at 200.
+        inst = get_scenario("example-4.2").instance
+        policy = TradePolicy(surplus_split=split)
+        engines = {
+            "expost-pairwise": lambda i, o: expost_pairwise_transfers(i, o, policy),
+            "expost-ce": expost_ce_transfers,
+            "interim-lookback": lambda i, o: interim_transfers(i, o, "lookback-strategic", policy),
+        }
+        lookback = {0.0: 30.0, 0.5: 120.0, 1.0: 20.0}[split]
+        expected = {"expost-pairwise": 30.0 + 180.0 * split, "expost-ce": 30.0,
+                    "interim-lookback": lookback}
+        order = (0, 1, 2, 3)
+        for name, run in engines.items():
+            assert utilities(inst, run(inst, order))[0] == 20.0, name
+            assert max(report_payoffs(run, inst, order, 0)) == expected[name], name
 
 
 class TestPinnedCases:

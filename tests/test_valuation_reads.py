@@ -298,7 +298,8 @@ class TestReadersMatchReferences:
 
         order = tuple(int(a) for a in rng.permutation(m))
         policy = TradePolicy(split, floor, str(rng.choice(["fixed-point", "single-pass"])))
-        assert bits(small_tau_bound(inst, alloc, order, policy)) == bits(
+        _, _, log = pairwise_aftermarket(inst, alloc, order, policy, NO_COST)
+        assert bits(small_tau_bound(inst, log)) == bits(
             small_tau_reference(inst, alloc, order, policy)
         )
 
@@ -309,13 +310,14 @@ class TestReadersMatchReferences:
             )
         assert bits(ttc(inst, alloc)) == bits(ttc_reference(inst, alloc))
 
-    def test_default_small_tau_policy_on_hashed_market(self):
+    def test_housing_policy_small_tau_on_hashed_market(self):
         rng = np.random.default_rng(9)
         inst = hashed_instance(rng, 30, 30)
         alloc = Allocation.from_array(rng.permutation(30))
         order = tuple(range(30))
-        bound = small_tau_bound(inst, alloc)
         policy = replace(HOUSING_POLICY, budget_enforced=False)
+        _, _, log = pairwise_aftermarket(inst, alloc, order, policy, NO_COST)
+        bound = small_tau_bound(inst, log)
         assert bound < np.inf
         assert bits(bound) == bits(small_tau_reference(inst, alloc, order, policy))
 
