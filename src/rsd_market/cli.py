@@ -384,6 +384,7 @@ def _cmd_sim_sweep(args: argparse.Namespace) -> int:
     kind, _, amounts = args.tau_list.partition(":")
     try:
         cost = mechanisms.parse_cost(f"{kind}:0")
+        taus = [float(x) for x in amounts.split(",")]
     except ValueError:
         raise ValueError(
             f"malformed --tau-list {args.tau_list!r}; expected fixed:X,Y,... or prop:R,S,..."
@@ -393,7 +394,6 @@ def _cmd_sim_sweep(args: argparse.Namespace) -> int:
         wealth=housing.parse_wealth(args.wealth),
         cost=cost,
     )
-    taus = [float(x) for x in amounts.split(",")]
     rows = housing.transaction_cost_sweep(config, taus, seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -20,6 +20,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
+from .errors import parse_spec
 from .market import (
     Allocation,
     HashedNormalValuations,
@@ -77,18 +78,11 @@ class WealthModel:
 
 def parse_wealth(spec: str) -> WealthModel:
     """Parse ``equal:AMOUNT`` or ``powerlaw:GROUPS,BASE,PER_GROUP``."""
-    kind, _, rest = spec.partition(":")
-    if kind == "equal" and rest:
-        return WealthModel(kind="equal", amount=float(rest))
-    if kind == "powerlaw":
-        groups, base, per = rest.split(",")
-        return WealthModel(
-            kind="power-law",
-            n_groups=int(groups),
-            base=float(base),
-            agents_per_group=int(per),
-        )
-    raise ValueError(f"malformed wealth spec {spec!r}")
+    kind, fields = parse_spec(spec, "wealth", {"equal": (float,), "powerlaw": (int, float, int)})
+    if kind == "equal":
+        return WealthModel(kind="equal", amount=fields[0])
+    groups, base, per = fields
+    return WealthModel(kind="power-law", n_groups=groups, base=base, agents_per_group=per)
 
 
 @dataclass(frozen=True)

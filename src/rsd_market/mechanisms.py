@@ -31,7 +31,7 @@ from .equilibrium import (
     max_welfare_allocation,
     transfers_from_prices,
 )
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, parse_spec
 from .market import (
     Allocation,
     MarketInstance,
@@ -151,14 +151,8 @@ def parse_cost(spec: str) -> TransactionCost:
     """Parse ``none``, ``fixed:X`` or ``prop:R`` cost specifications."""
     if spec == "none":
         return NO_COST
-    kind, _, amt = spec.partition(":")
-    if not amt:
-        raise ValueError(f"malformed transaction cost spec {spec!r}")
-    if kind == "fixed":
-        return TransactionCost("fixed", float(amt))
-    if kind == "prop":
-        return TransactionCost("proportional", float(amt))
-    raise ValueError(f"malformed transaction cost spec {spec!r}")
+    kind, (amount,) = parse_spec(spec, "transaction cost", {"fixed": (float,), "prop": (float,)})
+    return TransactionCost("fixed" if kind == "fixed" else "proportional", amount)
 
 
 # ---------------------------------------------------------------------------

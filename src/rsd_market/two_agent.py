@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import PreconditionError
+from .errors import PreconditionError, parse_spec
 
 _QUAD_TOL = 1e-9
 _OFFER_GRID_POINTS = 2001
@@ -55,11 +55,16 @@ class ValueDistribution:
     def cdf(self, x):  # pragma: no cover - interface stub
         raise NotImplementedError
 
-    def quantile(self, u):  # pragma: no cover - interface stub
+    def _quantile_in_place(self, u: np.ndarray) -> np.ndarray:  # pragma: no cover - interface stub
         raise NotImplementedError
 
+    def quantile(self, u):
+        """Quantiles of ``u`` in a new array (a scalar for a 0-d ``u``)."""
+        return self._quantile_in_place(np.array(u, dtype=float))[()]
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.quantile(rng.random(size))
+        """``quantile(rng.random(size))``, computed in the fresh uniforms."""
+        return self._quantile_in_place(rng.random(size))
 
     @property
     def width(self) -> float:
@@ -79,8 +84,10 @@ class Uniform(ValueDistribution):
     def cdf(self, x):
         return ((np.asarray(x, dtype=float) - self.lower) / self.width).clip(0.0, 1.0)
 
-    def quantile(self, u):
-        return self.lower + np.asarray(u, dtype=float) * self.width
+    def _quantile_in_place(self, u):
+        u *= self.width
+        u += self.lower
+        return u
 
 
 @dataclass(frozen=True)
@@ -118,15 +125,14 @@ class TruncatedNormal(ValueDistribution):
         z = ndtr((np.asarray(x, dtype=float) - self.mu) / (self.sign * self.sigma))
         return ((z - self.phi_lower) / self.phi_gap).clip(0.0, 1.0)
 
-    def quantile(self, u):
-        # mu + sign * sigma * ndtri(phi_lower + u * phi_gap), step by step in one copy of u.
-        out = np.array(u, dtype=float)
-        out *= self.phi_gap
-        out += self.phi_lower
-        ndtri(out, out=out)
-        out *= self.sign * self.sigma
-        out += self.mu
-        return out[()]
+    def _quantile_in_place(self, u):
+        # mu + sign * sigma * ndtri(phi_lower + u * phi_gap), step by step.
+        u *= self.phi_gap
+        u += self.phi_lower
+        ndtri(u, out=u)
+        u *= self.sign * self.sigma
+        u += self.mu
+        return u
 
 
 @dataclass(frozen=True)
@@ -149,21 +155,16 @@ class PointMass(ValueDistribution):
     def cdf(self, x):
         return (np.asarray(x, dtype=float) >= self.value).astype(float)
 
-    def quantile(self, u):
-        return np.full_like(np.asarray(u, dtype=float), self.value)
+    def _quantile_in_place(self, u):
+        u.fill(self.value)
+        return u
 
 
 def parse_distribution(spec: str) -> ValueDistribution:
     """Parse ``uniform:LO,HI``, ``truncnorm:LO,HI,MU,SIGMA`` or ``point:V``."""
-    kind, _, rest = spec.partition(":")
-    parts = [float(x) for x in rest.split(",")] if rest else []
-    if kind == "uniform" and len(parts) == 2:
-        return Uniform(*parts)
-    if kind == "truncnorm" and len(parts) == 4:
-        return TruncatedNormal(*parts)
-    if kind == "point" and len(parts) == 1:
-        return PointMass(parts[0])
-    raise ValueError(f"malformed distribution spec {spec!r}")
+    kinds = {"uniform": (float,) * 2, "truncnorm": (float,) * 4, "point": (float,)}
+    kind, fields = parse_spec(spec, "distribution", kinds)
+    return {"uniform": Uniform, "truncnorm": TruncatedNormal, "point": PointMass}[kind](*fields)
 
 
 # ---------------------------------------------------------------------------
@@ -427,14 +428,12 @@ def _sorted_gains(
     f2a: ValueDistribution, f2b: ValueDistribution, n_draws: int, seed: int
 ) -> np.ndarray:
     """The second player's ``va - vb`` over ``n_draws`` seeded value pairs,
-    sorted.  The holder of B gains the positive tail; the holder of A gains
-    the positive tail of ``-gains[::-1]``, which is the sorted ``vb - va`` bit
-    for bit, since rounding is symmetric: ``fl(a - b) == -fl(b - a)``."""
+    sorted, computed in the array of ``va`` draws."""
     if n_draws < 1:
         raise ValueError("n_draws must be at least 1")
     rng = np.random.default_rng(seed)
-    va = f2a.sample(rng, n_draws)
-    gains = va - f2b.sample(rng, n_draws)
+    gains = f2a.sample(rng, n_draws)
+    gains -= f2b.sample(rng, n_draws)
     gains.sort()
     return gains
 
@@ -446,29 +445,33 @@ def _offer_law(
     f1a: ValueDistribution,
     f1b: ValueDistribution,
     received_item: str,
-) -> OfferDistribution:
-    """Offer law of the holder of ``received_item``, from :func:`_sorted_gains`.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Offer law of the holder of ``received_item``, from :func:`_sorted_gains`:
+    the no-offer probability, the envelope's offers and how many draws make
+    each, so the sorted offers are ``np.repeat(offers, counts)``.
 
-    The positive gains make offers.  The grid-optimal offer is a nondecreasing
-    step function of the gain (the cached envelope), so the sorted offers are
-    the envelope's offers repeated by the number of gains between consecutive
-    cut points: one binary search per cut, none per draw.
+    The positive gains make offers, and offer ``k`` of the cached envelope
+    takes those in ``(cuts[k-1], cuts[k]]``: one binary search per cut, none
+    per draw.  The holder of A gains ``vb - va``, which is ``-gains`` bit for
+    bit (``fl(a - b) == -fl(b - a)``), so that branch counts the negative
+    gains, where ``-g <= c`` exactly when ``g >= -c``.
     """
     _require_common_support(f1a, f1b)
     if received_item == "B":
         # Holder of B courts the holder of A.
         outer, inner, no_offer = f1a, f1b, stieltjes_cdf_integral(f2b, f2a, 0.0)
+        motive = gains[np.searchsorted(gains, 0.0, side="right") :]
     else:
-        gains = -gains[::-1]
         outer, inner, no_offer = f1b, f1a, stieltjes_cdf_integral(f2a, f2b, 0.0)
-    gains = gains[np.searchsorted(gains, 0.0, side="right") :]
-    if gains.size:
-        envelope_offers, cuts = _offer_envelope(outer, inner)
-        counts = np.diff(np.searchsorted(gains, cuts, side="right"), prepend=0, append=gains.size)
-        offers = np.repeat(envelope_offers, counts)
+        motive = gains[: np.searchsorted(gains, 0.0, side="left")]
+    if not motive.size:
+        return no_offer, np.array([]), np.array([], dtype=np.intp)
+    offers, cuts = _offer_envelope(outer, inner)
+    if received_item == "B":
+        at_or_below = np.searchsorted(motive, cuts, side="right")
     else:
-        offers = np.array([])
-    return OfferDistribution(offers=offers, no_offer_probability=float(no_offer))
+        at_or_below = motive.size - np.searchsorted(motive, -cuts, side="left")
+    return no_offer, offers, np.diff(at_or_below, prepend=0, append=motive.size)
 
 
 def offer_distribution(
@@ -489,7 +492,8 @@ def offer_distribution(
     if received_item not in ("A", "B"):
         raise ValueError("received_item must be 'A' or 'B'")
     gains = _sorted_gains(f2a, f2b, n_draws, seed)
-    return _offer_law(gains, f2a, f2b, f1a, f1b, received_item)
+    no_offer, offers, counts = _offer_law(gains, f2a, f2b, f1a, f1b, received_item)
+    return OfferDistribution(offers=np.repeat(offers, counts), no_offer_probability=float(no_offer))
 
 
 @dataclass(frozen=True)
@@ -502,26 +506,26 @@ class FirstMoverResult:
 
 
 def _branch_eu(
-    v_keep: float, v_other: float, offers: OfferDistribution
+    v_keep: float, v_other: float, no_offer: float, offers: np.ndarray, counts: np.ndarray
 ) -> tuple[float, float]:
-    """Expected utility of a pick given the opposing offer law, plus a rough SE.
+    """Expected utility of a pick given the opposing :func:`_offer_law`, plus a rough SE.
 
     Three cases: no offer arrives (keep), an arriving offer falls short of the
     indifference threshold (keep), or it clears the threshold (swap and pocket
     the payment).
     """
     theta = v_keep - v_other
-    size = offers.offers.size
-    short = int(np.searchsorted(offers.offers, theta, side="left"))
-    tail = offers.offers[short:]
+    size = int(counts.sum())
+    k = int(np.searchsorted(offers, theta, side="left"))  # offers[:k] fall short
+    short = int(counts[:k].sum())
     t_short = short / size if size else 0.0
-    tail_mean = float(tail.mean()) if tail.size else 0.0
-    eu = offers.no_offer_probability * v_keep + (1.0 - offers.no_offer_probability) * (
+    tail_mean = float(np.repeat(offers[k:], counts[k:]).mean()) if short < size else 0.0
+    eu = no_offer * v_keep + (1.0 - no_offer) * (
         t_short * v_keep + (1.0 - t_short) * (v_other + tail_mean)
     )
     # Spread of the per-offer utility, scaled by the conditional sample size;
     # a constant utility has no spread at all, not a rounding residue.
-    util = np.concatenate([np.full(short, float(v_keep)), v_other + tail])
+    util = np.repeat(np.append(float(v_keep), v_other + offers[k:]), np.append(short, counts[k:]))
     if size < 2 or util.min() == util.max():
         return float(eu), 0.0
     return float(eu), float(util.std(ddof=1) / math.sqrt(size))
@@ -543,16 +547,14 @@ def first_mover_expected_utility(
     conditions on them wanting A, and symmetrically for picking B.  One seeded
     sample of the opponent's value pairs serves both picks: a pair with
     ``va > vb`` offers after pick A, one with ``vb > va`` after pick B, and a
-    tie in neither.  So each branch equals :func:`_branch_eu` over
+    tie in neither.  So each branch's offers are those of
     :func:`offer_distribution` at this same ``seed``, bit for bit.  Ties on
     the comparison go to A.
     """
     _require_finite("values", v1a, v1b)
     gains = _sorted_gains(f2a, f2b, n_draws, seed)
-    offers_after_a = _offer_law(gains, f2a, f2b, f1a, f1b, "B")
-    offers_after_b = _offer_law(gains, f2a, f2b, f1a, f1b, "A")
-    eu_a, se_a = _branch_eu(v1a, v1b, offers_after_a)
-    eu_b, se_b = _branch_eu(v1b, v1a, offers_after_b)
+    eu_a, se_a = _branch_eu(v1a, v1b, *_offer_law(gains, f2a, f2b, f1a, f1b, "B"))
+    eu_b, se_b = _branch_eu(v1b, v1a, *_offer_law(gains, f2a, f2b, f1a, f1b, "A"))
     return FirstMoverResult(
         eu_choose_a=eu_a,
         eu_choose_b=eu_b,

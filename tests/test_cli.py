@@ -472,6 +472,11 @@ class TestDispatch:
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
         assert [str(w.message) for w in caught] == []
 
+    def test_malformed_distribution_spec_is_named(self):
+        code, out, err = _run_captured(["two-agent", "solve", "--dist", "uniform:0,x",
+                                        "--v2a", "0.9", "--v2b", "0.1"])
+        assert (code, out, err) == (3, "", "error: malformed distribution spec 'uniform:0,x'\n")
+
     def test_env_seed_is_used(self, capsys, monkeypatch):
         monkeypatch.setenv("RSD_MARKET_SEED", "424242")
         code, payload = run_json(
@@ -617,6 +622,26 @@ class TestSimCommands:
         code, _, err = _run_captured(["sim", "sweep", "--agents", "20", "--seed", "1",
                                       "--tau-list", "0,10", "--out", str(tmp_path / "out")])
         assert code == 3 and "fixed:X,Y,..." in err and "prop:R,S,..." in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            *(
+                (["housing", "--reps", "1", "--wealth", spec], f"malformed wealth spec {spec!r}")
+                for spec in ("powerlaw", "powerlaw:1,2", "powerlaw:10,1.1,10,5",
+                             "powerlaw:a,1.1,10", "equal:abc")
+            ),
+            (["housing", "--reps", "1", "--tau", "fixed:abc"],
+             "malformed transaction cost spec 'fixed:abc'"),
+            (["sweep", "--tau-list", "fixed:1,abc"],
+             "malformed --tau-list 'fixed:1,abc'; expected fixed:X,Y,... or prop:R,S,..."),
+        ],
+    )
+    def test_malformed_spec_is_named(self, tmp_path, argv, message):
+        code, out, err = _run_captured(["sim", *argv, "--agents", "20", "--seed", "1",
+                                        "--out", str(tmp_path / "out")])
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestSuiteRunner:

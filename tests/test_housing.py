@@ -82,10 +82,13 @@ class TestGeneration:
         assert parse_wealth("equal:500").amount == 500.0
         pl = parse_wealth("powerlaw:1000,1.01,10")
         assert (pl.n_groups, pl.base, pl.agents_per_group) == (1000, 1.01, 10)
-        # An equal wealth model has one spelling, with its amount.
-        for spec in ("lognormal:1", "equal", "equal:"):
-            with pytest.raises(ValueError, match="malformed wealth spec"):
+        # An equal wealth model has one spelling, with its amount.  A malformed
+        # spec is named, never reported by an unpacking or conversion message.
+        for spec in ("lognormal:1", "equal", "equal:", "equal:abc", "powerlaw", "powerlaw:1,2",
+                     "powerlaw:10,1.1,10,5", "powerlaw:a,1.1,10", "powerlaw:1.5,1.1,10"):
+            with pytest.raises(ValueError) as exc:
                 parse_wealth(spec)
+            assert str(exc.value) == f"malformed wealth spec {spec!r}"
 
 
 class TestPublicAndAugmentedValues:

@@ -432,8 +432,8 @@ class TestTransactionCosts:
         assert parse_cost("none") == NO_COST == TransactionCost("fixed", 0.0)
         assert parse_cost("fixed:3.5") == TransactionCost("fixed", 3.5)
         assert parse_cost("prop:0.1") == TransactionCost("proportional", 0.1)
-        for spec in ("fixed", "proportional:0.1", "none:0"):
-            with pytest.raises(ValueError):
+        for spec in ("fixed", "proportional:0.1", "none:0", "fixed:abc", "prop:1,2"):
+            with pytest.raises(ValueError, match="^malformed transaction cost spec"):
                 parse_cost(spec)
 
     def test_no_cost_kind_is_gone(self):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,27 @@ class TestDistributions:
         assert np.array_equal(a, b)
         assert a.min() >= 0.0 and a.max() <= 1.0
 
+    @pytest.mark.parametrize("d", [UNIT, TruncatedNormal(0.0, 1.0, 0.6, 0.2), PointMass(0.5)])
+    def test_quantile_returns_a_new_array(self, d):
+        u = np.linspace(0.0, 0.99, 7)
+        before = u.copy()
+        q = d.quantile(u)
+        assert u.tobytes() == before.tobytes()
+        assert isinstance(q, np.ndarray) and q.shape == u.shape and not np.shares_memory(q, u)
+        for zero_d in (0.25, np.float64(0.25), np.array(0.25)):
+            scalar = d.quantile(zero_d)
+            assert np.isscalar(scalar) and scalar == d.quantile(np.array([0.25]))[0]
+
+    @pytest.mark.parametrize("d", [UNIT, TruncatedNormal(0.0, 1.0, 0.6, 0.2), PointMass(0.5)])
+    def test_sample_is_the_quantile_of_fresh_uniforms(self, d):
+        # A mixed pair draws from one stream in turn, as a first-mover call does.
+        other = TruncatedNormal(-1.0, 2.0, 0.3, 0.7)
+        rng = np.random.default_rng(9)
+        got = [d.sample(rng, 1000), other.sample(rng, 1000)]
+        rng = np.random.default_rng(9)
+        want = [d.quantile(rng.random(1000)), other.quantile(rng.random(1000))]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
     @pytest.mark.parametrize(
         "cls, params",
         [
@@ -91,8 +113,9 @@ class TestDistributions:
         assert parse_distribution("uniform:0,1") == UNIT
         assert parse_distribution("truncnorm:0,1,0.5,0.2") == TruncatedNormal(0, 1, 0.5, 0.2)
         assert parse_distribution("point:3") == PointMass(3.0)
-        with pytest.raises(ValueError):
-            parse_distribution("pareto:1")
+        for spec in ("pareto:1", "uniform:0,x", "uniform:0", "point:", "truncnorm:0,1,0.5"):
+            with pytest.raises(ValueError, match=f"^malformed distribution spec '{spec}'$"):
+                parse_distribution(spec)
 
 
 class TestAcceptanceProbability:
@@ -749,14 +772,68 @@ def opponent_pairs(draw):
     return one(), one()
 
 
+def _first_mover_reference(v1a, v1b, f2a, f2b, f1a, f1b, n_draws, seed):
+    """The first mover in plain array algebra: a negated copy of the gains for
+    pick B, each branch's sorted offers repeated out, and the utilities
+    concatenated.  Returns ``(eu_a, eu_b, se_a, se_b)`` and the offer laws
+    after picks A and B as ``(offers, no_offer)``."""
+    rng = np.random.default_rng(seed)
+    va = f2a.quantile(rng.random(n_draws))
+    gains = va - f2b.quantile(rng.random(n_draws))
+    gains.sort()
+
+    def offer_law(gains, outer, inner, no_offer):
+        gains = gains[np.searchsorted(gains, 0.0, side="right") :]
+        if not gains.size:
+            return np.array([]), no_offer
+        envelope_offers, cuts = two_agent._offer_envelope(outer, inner)
+        counts = np.diff(np.searchsorted(gains, cuts, side="right"), prepend=0, append=gains.size)
+        return np.repeat(envelope_offers, counts), no_offer
+
+    def branch_eu(v_keep, v_other, offers, no_offer):
+        theta = v_keep - v_other
+        size = offers.size
+        short = int(np.searchsorted(offers, theta, side="left"))
+        tail = offers[short:]
+        t_short = short / size if size else 0.0
+        tail_mean = float(tail.mean()) if tail.size else 0.0
+        eu = no_offer * v_keep + (1.0 - no_offer) * (
+            t_short * v_keep + (1.0 - t_short) * (v_other + tail_mean)
+        )
+        util = np.concatenate([np.full(short, float(v_keep)), v_other + tail])
+        if size < 2 or util.min() == util.max():
+            return float(eu), 0.0
+        return float(eu), float(util.std(ddof=1) / math.sqrt(size))
+
+    after_a = offer_law(gains, f1a, f1b, stieltjes_cdf_integral(f2b, f2a, 0.0))
+    after_b = offer_law(-gains[::-1], f1b, f1a, stieltjes_cdf_integral(f2a, f2b, 0.0))
+    (eu_a, se_a), (eu_b, se_b) = branch_eu(v1a, v1b, *after_a), branch_eu(v1b, v1a, *after_b)
+    return (eu_a, eu_b, se_a, se_b), after_a, after_b
+
+
 class TestFirstMoverContract:
-    """One sample serves both picks: each branch equals ``_branch_eu`` over
-    ``offer_distribution`` at the call's own seed, bit for bit."""
+    """The first mover and both offer laws equal :func:`_first_mover_reference`
+    byte for byte."""
+
+    def assert_matches_reference(self, v1a, v1b, f2, f1, n_draws, seed):
+        r = first_mover_expected_utility(v1a, v1b, *f2, *f1, n_draws, seed)
+        eus, *laws = _first_mover_reference(v1a, v1b, *f2, *f1, n_draws, seed)
+        got = [r.eu_choose_a, r.eu_choose_b, r.se_choose_a, r.se_choose_b]
+        assert [x.hex() for x in got] == [x.hex() for x in eus]
+        assert r.best_choice == ("A" if eus[0] >= eus[1] else "B")
+        for item, (offers, no_offer) in zip("BA", laws):
+            dist = offer_distribution(*f2, *f1, item, n_draws, seed)
+            assert dist.offers.dtype == offers.dtype and dist.offers.tobytes() == offers.tobytes()
+            assert dist.no_offer_probability.hex() == no_offer.hex()
 
     @settings(max_examples=40, deadline=None)
     # Point-mass opponents: an empty law after one pick, then after both.
     @example((PointMass(0.2), PointMass(0.8)), (UNIT, UNIT), 0.7, 0.4, 500, 3)
     @example((PointMass(0.5), PointMass(0.5)), (UNIT, UNIT), 0.7, 0.4, 500, 3)
+    # One, two and three draws: empty laws, one-offer laws, and no SE.
+    @example((UNIT, UNIT), (UNIT, UNIT), 0.7, 0.4, 1, 5)
+    @example((UNIT, UNIT), (UNIT, UNIT), 0.7, 0.4, 2, 5)
+    @example((UNIT, FAMILIES["truncnorm"]), (UNIT, UNIT), 0.4, 0.7, 3, 6)
     @given(
         opponent_pairs(),
         st.one_of(support_pairs(), st.just((UNIT, UNIT)), st.just((PointMass(0.5),) * 2)),
@@ -766,11 +843,28 @@ class TestFirstMoverContract:
         st.integers(0, 2**32 - 1),
     )
     def test_branches_equal_their_offer_laws(self, f2, f1, v1a, v1b, n_draws, seed):
-        r = first_mover_expected_utility(v1a, v1b, *f2, *f1, n_draws, seed)
-        after_a = offer_distribution(*f2, *f1, "B", n_draws, seed)
-        after_b = offer_distribution(*f2, *f1, "A", n_draws, seed)
-        eu_a, se_a = two_agent._branch_eu(v1a, v1b, after_a)
-        eu_b, se_b = two_agent._branch_eu(v1b, v1a, after_b)
-        got = [r.eu_choose_a, r.eu_choose_b, r.se_choose_a, r.se_choose_b]
-        assert [x.hex() for x in got] == [x.hex() for x in (eu_a, eu_b, se_a, se_b)]
-        assert r.best_choice == ("A" if eu_a >= eu_b else "B")
+        self.assert_matches_reference(v1a, v1b, f2, f1, n_draws, seed)
+
+    @pytest.mark.parametrize("family", ["uniform", "truncnorm"])
+    def test_threshold_on_an_envelope_offer(self, family):
+        # The threshold of each pick is the median offer of its law, so some
+        # offers equal it and clear it.  Law "B" follows pick A, whose
+        # threshold is v1a - v1b; law "A" follows pick B.
+        d = FAMILIES[family]
+        for item in "BA":
+            offers = offer_distribution(d, d, d, d, item, 20_000, 12).offers
+            t = float(offers[offers.size // 2])
+            v1a, v1b = (t, 0.0) if item == "B" else (0.0, t)
+            self.assert_matches_reference(v1a, v1b, (d, d), (d, d), 20_000, 12)
+
+    @pytest.mark.parametrize("family", ["uniform", "truncnorm"])
+    def test_peak_memory_is_two_draw_arrays(self, family):
+        d = FAMILIES[family]
+        first_mover_expected_utility(0.7, 0.4, d, d, d, d, 100, 5)  # fills the cached curves
+        tracemalloc.start()
+        try:
+            first_mover_expected_utility(0.7, 0.4, d, d, d, d, 200_000, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * 8 * 200_000
