@@ -7,12 +7,13 @@ offers, and the first mover's expected utility from either initial pick.
 
 Offers are restricted to ``t >= 0`` (the proposer pays to obtain the better
 item).  Acceptance comes from one banded adaptive Gauss-Legendre rule,
-vectorized over offers.  An acceptance curve, and the envelope of optimal
-offers read off it, depend only on the (frozen, hashable) distribution pair,
-so each is computed once per process and shared read-only.  The optimal offer
-is nondecreasing in the gain from trade, so the sorted offer law is the
-envelope's offers, each repeated by the number of sorted draws between its
-cut points.
+vectorized over offers.  An acceptance curve, each zoom window of the optimal
+offer, the envelope of optimal offers and each no-offer probability depend
+only on the (frozen, hashable) distribution pair, so each is computed once per
+pair per process (at most 2,048 zoom windows are kept) and shared read-only.
+The optimal offer is nondecreasing in the gain from trade, so the sorted offer
+law is the envelope's offers, each repeated by the number of sorted draws
+between its cut points.
 
 Distribution parameters and player values must be finite; anything else
 raises ``ValueError``.
@@ -323,6 +324,19 @@ def _offer_grid(
     return ts, accept
 
 
+@lru_cache(maxsize=2048)
+def _zoom_curve(
+    outer: ValueDistribution, inner: ValueDistribution, lo: float, hi: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Offers ``linspace(lo, hi, 33)`` and their acceptance, read-only.  The grid
+    starts at +0.0, so no end is -0.0 and equal keys mean equal offers."""
+    ts = np.linspace(lo, hi, _ZOOM_POINTS)
+    accept = _acceptance(outer, inner, ts)
+    ts.setflags(write=False)
+    accept.setflags(write=False)
+    return ts, accept
+
+
 def optimal_offer(
     v2a: float,
     v2b: float,
@@ -334,8 +348,9 @@ def optimal_offer(
     The argmax over a 2001-point grid on [0, support width], then over 33
     offers between the best point's neighbours, until they lie within 1e-5 or
     stop narrowing (where 1e-5 is below an ulp); ties break toward the smallest
-    offer.  Requires ``v2a >= v2b``; at equal values the optimum is the zero
-    offer.
+    offer.  Each zoom window is computed once per distribution pair per
+    process, at most 2,048 kept.  Requires ``v2a >= v2b``; at equal values the
+    optimum is the zero offer.
     """
     _require_finite("values", v2a, v2b)
     if v2a < v2b:
@@ -350,8 +365,7 @@ def optimal_offer(
         if not _OFFER_RESOLUTION < hi - lo < span:
             break
         span = hi - lo
-        ts = np.linspace(lo, hi, _ZOOM_POINTS)
-        accept = _acceptance(f1a, f1b, ts)
+        ts, accept = _zoom_curve(f1a, f1b, float(lo), float(hi))
     neg_payoff, t_star, acceptance = min(points)
     return OptimalOffer(t_star=t_star, expected_payoff=-neg_payoff, acceptance=acceptance)
 
@@ -438,6 +452,12 @@ def _sorted_gains(
     return gains
 
 
+@lru_cache(maxsize=16)
+def _no_offer(f_held: ValueDistribution, f_other: ValueDistribution) -> float:
+    """Chance the opponent prefers the item they hold, once per ordered pair."""
+    return stieltjes_cdf_integral(f_held, f_other, 0.0)
+
+
 def _offer_law(
     gains: np.ndarray,
     f2a: ValueDistribution,
@@ -459,10 +479,10 @@ def _offer_law(
     _require_common_support(f1a, f1b)
     if received_item == "B":
         # Holder of B courts the holder of A.
-        outer, inner, no_offer = f1a, f1b, stieltjes_cdf_integral(f2b, f2a, 0.0)
+        outer, inner, no_offer = f1a, f1b, _no_offer(f2b, f2a)
         motive = gains[np.searchsorted(gains, 0.0, side="right") :]
     else:
-        outer, inner, no_offer = f1b, f1a, stieltjes_cdf_integral(f2a, f2b, 0.0)
+        outer, inner, no_offer = f1b, f1a, _no_offer(f2a, f2b)
         motive = gains[: np.searchsorted(gains, 0.0, side="left")]
     if not motive.size:
         return no_offer, np.array([]), np.array([], dtype=np.intp)

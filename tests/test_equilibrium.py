@@ -488,6 +488,33 @@ class TestCePrices:
         # Captured from the per-agent loops the block sweeps replaced.
         assert _ce_dense_digest(family, n, seed) == digest
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 7),
+        st.sampled_from(["0..4", "0..49", "normal"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_minimal_prices_are_vcg_prices(self, n, family, seed):
+        # Leonard (1983): with every item endowed, the minimal price of the
+        # item agent j gets is v_j(a(j)) - [W(N) - W(N without j)], n + 1
+        # assignment solves.  Rectangular markets pin the items nobody holds
+        # at price 0, which this formula does not model: out of scope here.
+        rng = np.random.default_rng(seed)
+        if family == "normal":
+            values = rng.normal(100.0, 30.0, (n, n))
+        else:
+            values = rng.integers(0, 5 if family == "0..4" else 50, (n, n)).astype(float)
+        agents, items = linear_sum_assignment(values, maximize=True)
+        welfare = values[agents, items].sum()
+        vcg = np.empty(n)
+        for j, item in zip(agents, items):
+            vcg[item] = values[j, item] - welfare + _assignment_value(np.delete(values, j, axis=0))
+        inst = MarketInstance.from_matrix(values)
+        endowment = Allocation(tuple(int(i) for i in rng.permutation(n)))
+        allocation = Allocation(tuple(int(i) for i in items))
+        prices = ce_prices(inst, endowment, allocation).prices
+        np.testing.assert_allclose(prices, vcg, rtol=0.0, atol=1e-9)
+
     def test_wrong_item_set_rejected(self, dead_end_market):
         with pytest.raises(PreconditionError):
             ce_prices(dead_end_market, Allocation((0, 1, None)), Allocation((0, None, 2)))

@@ -1,5 +1,6 @@
 """Mechanism engines: picks, cycle trading, transfer stages."""
 
+import collections
 import hashlib
 import itertools
 import warnings
@@ -7,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsd_market.housing import SimConfig, generate_instance, replication_order
 from rsd_market.market import (
@@ -237,7 +240,26 @@ class TestRsd:
             assert rsd(inst, seed).allocation.assignment == (0,)
 
 
+@st.composite
+def strict_markets(draw):
+    """Square markets of 2-5 agents, each with its own strict ranking of the items."""
+    n = draw(st.integers(2, 5))
+    row = st.lists(st.integers(0, 49), min_size=n, max_size=n, unique=True)
+    return MarketInstance.from_matrix(np.array([draw(row) for _ in range(n)], dtype=float))
+
+
 class TestTtc:
+    @settings(max_examples=60, deadline=None)
+    @given(strict_markets())
+    def test_random_serial_dictatorship_is_ttc_from_a_random_endowment(self, inst):
+        # Abdulkadiroglu and Sonmez (1998): under strict preferences, SD over
+        # every order and TTC from every endowment give the same lottery over
+        # assignments, each assignment arising equally often.
+        every = list(itertools.permutations(range(inst.n_agents)))
+        sd = collections.Counter(serial_dictatorship(inst, order).allocation for order in every)
+        cycles = collections.Counter(ttc(inst, Allocation(items)) for items in every)
+        assert sd == cycles
+
     def test_two_agent_swap(self):
         inst = MarketInstance.from_matrix([[1.0, 9.0], [9.0, 1.0]])
         result = ttc(inst, Allocation((0, 1)))

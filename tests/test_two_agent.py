@@ -361,6 +361,12 @@ class TestStieltjes:
             assert stieltjes_cdf_integral(tn, PointMass(w), 0.0) == 1.0 - float(tn.cdf(w))
 
 
+def _clear_quadrature_caches():
+    for cache in (two_agent._offer_grid, two_agent._zoom_curve, two_agent._offer_envelope,
+                  two_agent._no_offer):
+        cache.cache_clear()
+
+
 def _digest(*values):
     h = hashlib.sha256()
     for v in values:
@@ -565,8 +571,7 @@ class TestSharedCurves:
             return acceptance_curve(f1a, f1b, ts)
 
         monkeypatch.setattr(two_agent, "acceptance_curve", counted)
-        two_agent._offer_grid.cache_clear()
-        two_agent._offer_envelope.cache_clear()
+        _clear_quadrature_caches()
         optimal_offer(0.9, 0.1, Uniform(0, 1), Uniform(0, 1))
         assert calls == [two_agent._OFFER_GRID_POINTS]
         # An equal pair written with floats shares the cache entry.
@@ -599,8 +604,76 @@ def _scaled(d, v):
     return d.lower + v * d.width
 
 
+def _optimal_offer_reference(v2a, v2b, f1a, f1b):
+    """The zoom search with every 33-offer window integrated afresh by
+    ``_acceptance``: the ``(t_star, expected_payoff, acceptance)`` that
+    ``optimal_offer`` must return byte for byte, cached windows or not."""
+    ts, accept = two_agent._offer_grid(f1a, f1b, two_agent._OFFER_GRID_POINTS)
+    points, span = [], math.inf
+    while True:
+        payoff = (v2a - ts) * accept + v2b * (1.0 - accept)
+        i = int(np.argmax(payoff))
+        points.append((-float(payoff[i]), float(ts[i]), float(accept[i])))
+        lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)]
+        if not 1e-5 < hi - lo < span:
+            break
+        span = hi - lo
+        ts = np.linspace(lo, hi, two_agent._ZOOM_POINTS)
+        accept = two_agent._acceptance(f1a, f1b, ts)
+    neg_payoff, t_star, acceptance = min(points)
+    return t_star, -neg_payoff, acceptance
+
+
+def _offer_bytes(offer):
+    return np.array([offer.t_star, offer.expected_payoff, offer.acceptance]).tobytes()
+
+
 class TestOfferSearch:
     """``optimal_offer`` narrows its own grid argmax with the vectorized rule."""
+
+    @pytest.mark.parametrize("d", SEARCH_FAMILIES, ids=repr)
+    def test_cached_windows_match_fresh_ones(self, d):
+        # A 200-call sweep of the offerer's value that revisits each of 50
+        # values four times, so most calls read cached windows: every answer
+        # equals the answer computed with cleared caches and the reference.
+        v2a = _scaled(d, 0.95)
+        distinct = [_scaled(d, v) for v in np.linspace(0.0, 0.9, 50)]
+        reference, cold = [], []
+        for v2b in distinct:
+            reference.append(np.array(_optimal_offer_reference(v2a, v2b, d, d)).tobytes())
+            two_agent._zoom_curve.cache_clear()
+            cold.append(_offer_bytes(optimal_offer(v2a, v2b, d, d)))
+        assert cold == reference
+        two_agent._zoom_curve.cache_clear()
+        warm = [_offer_bytes(optimal_offer(v2a, v2b, d, d)) for v2b in distinct * 4]
+        assert warm == reference * 4
+        assert two_agent._zoom_curve.cache_info().hits >= 150
+
+    @pytest.mark.parametrize("d", SEARCH_FAMILIES, ids=repr)
+    def test_zoom_windows_are_read_only(self, d):
+        ts, _ = two_agent._offer_grid(d, d, two_agent._OFFER_GRID_POINTS)
+        for array in two_agent._zoom_curve(d, d, float(ts[1]), float(ts[3])):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("d", SEARCH_FAMILIES, ids=repr)
+    def test_repeated_offer_integrates_nothing(self, d, monkeypatch):
+        first = optimal_offer(_scaled(d, 0.8), _scaled(d, 0.2), d, d)
+        monkeypatch.setattr(two_agent, "_acceptance", lambda *a: pytest.fail("integrated again"))
+        assert optimal_offer(_scaled(d, 0.8), _scaled(d, 0.2), d, d) == first
+
+    @pytest.mark.parametrize("d", SEARCH_FAMILIES, ids=repr)
+    def test_zero_offers_share_their_windows(self, d, monkeypatch):
+        # Every offer whose grid optimum is the zero offer zooms into the same
+        # windows, whatever its gap: the repeat that callers outside a
+        # fixed-value sweep (C10's gap grid, demo 03) meet.
+        assert optimal_offer(_scaled(d, 0.21), _scaled(d, 0.2), d, d).t_star == 0.0
+        monkeypatch.setattr(two_agent, "_acceptance", lambda *a: pytest.fail("integrated again"))
+        assert optimal_offer(_scaled(d, 0.23), _scaled(d, 0.2), d, d).t_star == 0.0
+
+    def test_zoom_cache_keeps_at_most_2048_windows(self):
+        assert two_agent._zoom_curve.cache_info().maxsize == 2048
 
     @pytest.mark.parametrize("d", SEARCH_FAMILIES, ids=repr)
     def test_calls_only_the_vectorized_rule(self, d, monkeypatch):
@@ -616,9 +689,11 @@ class TestOfferSearch:
         monkeypatch.setattr(two_agent, "_acceptance", counted)
         for v2a, v2b in SEARCH_VALUES:
             vectorized.clear()
+            # Cached zoom windows would make no call; the cached grid stays.
+            two_agent._zoom_curve.cache_clear()
             optimal_offer(_scaled(d, v2a), _scaled(d, v2b), d, d)
             bound = math.ceil(math.log(2 * d.width / 2000 / 1e-5, 16))
-            assert len(vectorized) <= bound
+            assert 1 <= len(vectorized) <= bound
             assert set(vectorized) <= {two_agent._ZOOM_POINTS}
         assert single == []
 
@@ -737,8 +812,7 @@ class TestOfferLaw:
             return acceptance_curve(f1a, f1b, ts)
 
         monkeypatch.setattr(two_agent, "acceptance_curve", counted)
-        two_agent._offer_grid.cache_clear()
-        two_agent._offer_envelope.cache_clear()
+        _clear_quadrature_caches()
         # The stored truncation bounds stay out of equality, hashing and repr.
         a, b = TruncatedNormal(0, 1, 0.6, 0.2), TruncatedNormal(0.0, 1.0, 0.6, 0.2)
         assert a == b and hash(a) == hash(b) and "phi" not in repr(a)
@@ -844,6 +918,21 @@ class TestFirstMoverContract:
     )
     def test_branches_equal_their_offer_laws(self, f2, f1, v1a, v1b, n_draws, seed):
         self.assert_matches_reference(v1a, v1b, f2, f1, n_draws, seed)
+
+    @pytest.mark.parametrize("pair", sorted(OFFER_LAW_PAIRS))
+    def test_cold_and_warm_no_offer_agree(self, pair):
+        f2a, f2b, f1a, f1b = OFFER_LAW_PAIRS[pair]
+
+        def run():
+            r = first_mover_expected_utility(0.7, 0.4, f2a, f2b, f1a, f1b, 5000, 8)
+            return [x.hex() for x in (r.eu_choose_a, r.eu_choose_b, r.se_choose_a, r.se_choose_b)]
+
+        two_agent._no_offer.cache_clear()
+        cold = run()
+        misses = two_agent._no_offer.cache_info().misses
+        assert misses == len({(f2b, f2a), (f2a, f2b)})
+        assert run() == cold
+        assert two_agent._no_offer.cache_info().misses == misses
 
     @pytest.mark.parametrize("family", ["uniform", "truncnorm"])
     def test_threshold_on_an_envelope_offer(self, family):
