@@ -260,7 +260,7 @@ def _cmd_two_agent_solve(args: argparse.Namespace) -> int:
         "t_star": offer.t_star,
         "expected_payoff": offer.expected_payoff,
         "acceptance_probability": offer.acceptance,
-        "no_offer_probability": two_agent.stieltjes_cdf_integral(f2b, f2a, 0.0),
+        "no_offer_probability": two_agent.no_offer_probability(f2b, f2a),
     }
     if args.draws:
         seed = _resolve_seed(args.seed)

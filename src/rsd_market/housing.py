@@ -1,11 +1,12 @@
 """Large-scale housing-market simulation with budgets and transaction costs.
 
-One replication runs two arms over the same agents, rooms, and pick order:
+One replication runs two stages over the same agents, rooms, and pick order:
 
-* baseline: truthful serial dictatorship on private values, no trading;
-* treatment: picks driven by resale-informed ("augmented") values, followed by
-  a single-pass bilateral aftermarket at seller-indifference prices, subject
-  to budgets and the configured transaction cost.
+* baseline: truthful serial dictatorship on private values, no trading; no
+  fee changes it, so a fee sweep runs it once per seed;
+* treatment, once per fee: picks driven by resale-informed ("augmented")
+  values, then a single-pass bilateral aftermarket at seller-indifference
+  prices, subject to budgets and the transaction cost.
 
 Room values are drawn from per-room normal distributions whose parameters are
 themselves random, so tastes are correlated across agents.  Valuations are
@@ -237,34 +238,35 @@ class SimReport:
         return float(self.fees.sum())
 
 
-def run_housing_sim(config: SimConfig, seed: int) -> SimReport:
-    """One full replication; identical (config, seed) gives a bit-identical report."""
-    inst = generate_instance(config, seed)
-    market = inst.market
+def _baseline_stage(config: SimConfig, seed: int) -> tuple:
+    """The market, the pick order, the truthful picks on private values (n
+    hashed rows), the public values they imply and the baseline welfare."""
+    market = generate_instance(config, seed).market
     order = replication_order(config, seed)
-
     baseline = sd_assignment(market.valuations, order)
-    pick_values = augmented_valuations(market, public_valuations(market, baseline), config.cost)
-    endowment = sd_assignment(pick_values, order)
+    welfare_baseline = market.budgets + market.held_values(baseline)
+    return market, order, baseline, public_valuations(market, baseline), welfare_baseline
 
+
+def _treatment_stage(seed, cost, market, order, baseline, v_pub, welfare_baseline) -> SimReport:
+    """Under one fee, on :func:`_baseline_stage`'s output: augmented picks, the
+    aftermarket and the accounting (3n hashed rows)."""
+    endowment = sd_assignment(augmented_valuations(market, v_pub, cost), order)
     final_alloc, transfers_t, log = pairwise_aftermarket(
-        market, Allocation.from_array(endowment), order, HOUSING_POLICY, config.cost
+        market, Allocation.from_array(endowment), order, HOUSING_POLICY, cost
     )
     transfers = np.asarray(transfers_t)
     fees = Outcome(final_alloc, transfers_t, log).seller_costs()
 
-    welfare_baseline = inst.market.budgets + market.held_values(baseline)
-    welfare_endowment = inst.market.budgets + market.held_values(endowment)
+    welfare_endowment = market.budgets + market.held_values(endowment)
     final_assignment = final_alloc.to_array()
     # Not ``market.utilities``: its order of additions would change the report's last bits.
-    welfare_treatment = (
-        inst.market.budgets + transfers - fees + market.held_values(final_assignment)
-    )
+    welfare_treatment = market.budgets + transfers - fees + market.held_values(final_assignment)
     delta = welfare_treatment - welfare_baseline
     counts, edges = np.histogram(delta, bins=DELTA_HISTOGRAM_BINS)
     return SimReport(
         seed=seed,
-        budgets0=inst.market.budgets,
+        budgets0=market.budgets,
         baseline_assignment=baseline,
         treatment_endowment=endowment,
         final_assignment=final_assignment,
@@ -279,6 +281,11 @@ def run_housing_sim(config: SimConfig, seed: int) -> SimReport:
         histogram_counts=counts,
         histogram_edges=edges,
     )
+
+
+def run_housing_sim(config: SimConfig, seed: int) -> SimReport:
+    """One full replication; identical (config, seed) gives a bit-identical report."""
+    return _treatment_stage(seed, config.cost, *_baseline_stage(config, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +354,14 @@ class SweepRow:
 def transaction_cost_sweep(
     config: SimConfig, tau_values: Sequence[float], seed: int
 ) -> list[SweepRow]:
-    """Re-run one replication per amount of ``config.cost``'s kind on a shared seed."""
+    """One replication per amount of ``config.cost``'s kind on a shared seed:
+    one baseline stage, and a treatment stage per amount (n + 3kn rows)."""
     taus = [float(t) for t in tau_values]
     if not all(0 <= t < np.inf for t in taus) or sorted(taus) != taus:
         raise ValueError("tau values must be finite, nonnegative and sorted")
-    rows = []
-    for tau in taus:
-        report = run_housing_sim(replace(config, cost=replace(config.cost, amount=tau)), seed)
-        rows.append(SweepRow(tau=tau, total_gain=report.total_gain, trades=report.trade_count))
-    return rows
+    base = _baseline_stage(config, seed)
+    reports = (_treatment_stage(seed, replace(config.cost, amount=t), *base) for t in taus)
+    return [SweepRow(t, r.total_gain, r.trade_count) for t, r in zip(taus, reports)]
 
 
 def prohibitive_cost_bound(instance: HousingInstance) -> float:

@@ -8,6 +8,7 @@ after construction and safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence, Union
@@ -492,8 +493,8 @@ def validate_outcome(
         return problems
     if not all(np.isfinite(t) for t in outcome.transfers):
         problems.append("transfers must be finite")
-    total = float(sum(outcome.transfers))
-    if abs(total) > atol:
+    # Summed exactly: running sums at a budget's scale round by more than atol.
+    elif abs(total := math.fsum(outcome.transfers)) > atol:
         problems.append(f"transfer sum != 0 (got {total!r})")
     for rec in outcome.trade_log:
         if not np.isfinite(rec.price):

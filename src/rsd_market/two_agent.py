@@ -7,10 +7,10 @@ offers, and the first mover's expected utility from either initial pick.
 
 Offers are restricted to ``t >= 0`` (the proposer pays to obtain the better
 item).  Acceptance comes from one banded adaptive Gauss-Legendre rule,
-vectorized over offers.  An acceptance curve, each zoom window of the optimal
-offer, the envelope of optimal offers and each no-offer probability depend
+vectorized over offers.  Each acceptance curve on an offer grid or zoom
+window, the envelope of optimal offers and each no-offer probability depend
 only on the (frozen, hashable) distribution pair, so each is computed once per
-pair per process (at most 2,048 zoom windows are kept) and shared read-only.
+pair per process (at most 2,048 curves are kept) and shared read-only.
 The optimal offer is nondecreasing in the gain from trade, so the sorted offer
 law is the envelope's offers, each repeated by the number of sorted draws
 between its cut points.
@@ -308,30 +308,18 @@ class OptimalOffer:
     acceptance: float
 
 
-@lru_cache(maxsize=16)
-def _offer_grid(
-    outer: ValueDistribution, inner: ValueDistribution, grid_points: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Offers ``linspace(0, width, grid_points)`` and their acceptance curve.
-
-    The curve depends only on the (frozen, hashable) distribution pair, so it
-    is computed once per process and shared; both arrays are read-only.
-    """
-    ts = np.linspace(0.0, max(outer.width, 0.0), grid_points)
-    accept = acceptance_curve(outer, inner, ts)
-    ts.setflags(write=False)
-    accept.setflags(write=False)
-    return ts, accept
-
-
 @lru_cache(maxsize=2048)
-def _zoom_curve(
-    outer: ValueDistribution, inner: ValueDistribution, lo: float, hi: float
+def _curve(
+    outer: ValueDistribution, inner: ValueDistribution, lo: float, hi: float, points: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Offers ``linspace(lo, hi, 33)`` and their acceptance, read-only.  The grid
-    starts at +0.0, so no end is -0.0 and equal keys mean equal offers."""
-    ts = np.linspace(lo, hi, _ZOOM_POINTS)
-    accept = _acceptance(outer, inner, ts)
+    """Offers ``linspace(lo, hi, points)`` and their acceptance curve, read-only.
+
+    The curve depends only on the (frozen, hashable) distribution pair and
+    the window, so each is computed once per process and shared.  Every grid
+    starts at +0.0, so no end is -0.0 and equal keys mean equal offers.
+    """
+    ts = np.linspace(lo, hi, points)
+    accept = acceptance_curve(outer, inner, ts)
     ts.setflags(write=False)
     accept.setflags(write=False)
     return ts, accept
@@ -348,14 +336,13 @@ def optimal_offer(
     The argmax over a 2001-point grid on [0, support width], then over 33
     offers between the best point's neighbours, until they lie within 1e-5 or
     stop narrowing (where 1e-5 is below an ulp); ties break toward the smallest
-    offer.  Each zoom window is computed once per distribution pair per
-    process, at most 2,048 kept.  Requires ``v2a >= v2b``; at equal values the
-    optimum is the zero offer.
+    offer.  The grid and each zoom window are cached curves (:func:`_curve`).
+    Requires ``v2a >= v2b``; at equal values the optimum is the zero offer.
     """
     _require_finite("values", v2a, v2b)
     if v2a < v2b:
         raise PreconditionError("no trade motive: the held item is already preferred")
-    ts, accept = _offer_grid(f1a, f1b, _OFFER_GRID_POINTS)
+    ts, accept = _curve(f1a, f1b, 0.0, max(f1a.width, 0.0), _OFFER_GRID_POINTS)
     points, span = [], math.inf
     while True:
         payoff = _payoff(v2a, v2b, ts, accept)
@@ -365,7 +352,7 @@ def optimal_offer(
         if not _OFFER_RESOLUTION < hi - lo < span:
             break
         span = hi - lo
-        ts, accept = _zoom_curve(f1a, f1b, float(lo), float(hi))
+        ts, accept = _curve(f1a, f1b, float(lo), float(hi), _ZOOM_POINTS)
     neg_payoff, t_star, acceptance = min(points)
     return OptimalOffer(t_star=t_star, expected_payoff=-neg_payoff, acceptance=acceptance)
 
@@ -403,7 +390,7 @@ def _offer_envelope(
     (``cuts[k]`` is the gain where offer ``k + 1`` overtakes offer ``k``),
     read-only and computed once per distribution pair per process.
     """
-    ts, accept = _offer_grid(outer, inner, _ENVELOPE_GRID_POINTS)
+    ts, accept = _curve(outer, inner, 0.0, max(outer.width, 0.0), _ENVELOPE_GRID_POINTS)
     slopes = np.maximum.accumulate(accept)
     intercepts = -slopes * ts
 
@@ -453,8 +440,9 @@ def _sorted_gains(
 
 
 @lru_cache(maxsize=16)
-def _no_offer(f_held: ValueDistribution, f_other: ValueDistribution) -> float:
-    """Chance the opponent prefers the item they hold, once per ordered pair."""
+def no_offer_probability(f_held: ValueDistribution, f_other: ValueDistribution) -> float:
+    """Chance that a holder valuing their item by ``f_held`` and the other by
+    ``f_other`` keeps theirs and makes no offer; once per ordered pair."""
     return stieltjes_cdf_integral(f_held, f_other, 0.0)
 
 
@@ -479,10 +467,10 @@ def _offer_law(
     _require_common_support(f1a, f1b)
     if received_item == "B":
         # Holder of B courts the holder of A.
-        outer, inner, no_offer = f1a, f1b, _no_offer(f2b, f2a)
+        outer, inner, no_offer = f1a, f1b, no_offer_probability(f2b, f2a)
         motive = gains[np.searchsorted(gains, 0.0, side="right") :]
     else:
-        outer, inner, no_offer = f1b, f1a, _no_offer(f2a, f2b)
+        outer, inner, no_offer = f1b, f1a, no_offer_probability(f2a, f2b)
         motive = gains[: np.searchsorted(gains, 0.0, side="left")]
     if not motive.size:
         return no_offer, np.array([]), np.array([], dtype=np.intp)

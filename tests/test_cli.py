@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rsd_market import two_agent
 from rsd_market.cli import dispatch
 from rsd_market.housing import SimConfig, transaction_cost_sweep
 from rsd_market.market import MarketInstance, save_instance
@@ -382,6 +383,21 @@ class TestDispatch:
         assert code == 0
         assert 0.0 <= payload["t_star"] <= 1.0
         assert payload["no_offer_probability"] == pytest.approx(0.5, abs=1e-9)
+
+    def test_two_agent_solve_draws_integrates_no_offer_once(self, capsys, monkeypatch):
+        calls = []
+        integral = two_agent.stieltjes_cdf_integral
+        monkeypatch.setattr(
+            two_agent, "stieltjes_cdf_integral", lambda *a: calls.append(a) or integral(*a)
+        )
+        two_agent.no_offer_probability.cache_clear()
+        code, payload = run_json(
+            capsys,
+            ["two-agent", "solve", "--v2a", "0.9", "--v2b", "0.4", "--draws", "100", "--seed", "1"],
+        )
+        assert code == 0 and len(calls) == 1
+        unit = two_agent.Uniform(0.0, 1.0)
+        assert payload["no_offer_probability"] == two_agent.no_offer_probability(unit, unit)
 
     def test_two_agent_solve_draws_keys(self, capsys):
         code, payload = run_json(

@@ -26,7 +26,14 @@ from rsd_market.housing import (
     tax_incidence_check,
     transaction_cost_sweep,
 )
-from rsd_market.market import Allocation, MarketInstance, Outcome, derive_seed, validate_outcome
+from rsd_market.market import (
+    Allocation,
+    HashedNormalValuations,
+    MarketInstance,
+    Outcome,
+    derive_seed,
+    validate_outcome,
+)
 from rsd_market.mechanisms import NO_COST, TransactionCost, pairwise_aftermarket, sd_assignment
 from rsd_market.scenarios import get_scenario
 from rsd_market.suite import trade_log_soundness
@@ -127,6 +134,25 @@ class TestPublicAndAugmentedValues:
 
 
 class TestSingleReplication:
+    def test_ladder_transfers_sum_to_zero_exactly(self):
+        # C13's strided ladder: running sums of these transfers reach about 3e5
+        # and round to 1.02e-9 on their own, above the check's 1e-9.
+        wealth = WealthModel(kind="power-law", n_groups=100, base=1.01**10, agents_per_group=10)
+        config = SimConfig(n_agents=1000, wealth=wealth, cost=TransactionCost("fixed", 25.0))
+        seed = 9034826598662842368
+        report = run_housing_sim(config, seed)
+        inst = generate_instance(config, seed).market
+        alloc = Allocation.from_array(report.final_assignment)
+        outcome = Outcome(alloc, tuple(report.transfers), report.trades)
+        assert float(sum(report.transfers)) > 1e-9
+        assert validate_outcome(inst, outcome, atol=1e-9) == []
+        assert trade_log_soundness(inst, outcome) == []
+        # A 2e-9 imbalance in one transfer still fails the same bound.
+        off = report.transfers.copy()
+        off[0] += 2e-9
+        problems = validate_outcome(inst, Outcome(alloc, tuple(off), report.trades), atol=1e-9)
+        assert any("transfer sum" in p for p in problems)
+
     def test_deterministic(self, desk_config, desk_report):
         again = run_housing_sim(desk_config, seed=77)
         assert np.array_equal(again.delta, desk_report.delta)
@@ -233,11 +259,39 @@ class TestBatch:
 
 
 class TestSweep:
-    def test_zero_fee_row_matches_plain_run(self, desk_config):
-        rows = transaction_cost_sweep(desk_config, [0.0, 50.0], seed=13)
-        plain = run_housing_sim(desk_config, seed=13)
-        assert rows[0].total_gain == plain.total_gain
-        assert rows[0].trades == plain.trade_count
+    @pytest.mark.parametrize("kind", ["fixed", "proportional"])
+    def test_every_row_matches_a_plain_run(self, desk_config, kind):
+        # The sweep shares one baseline stage across its fees; each row must
+        # still equal an independent replication at that fee, bit for bit.
+        if kind == "fixed":
+            bound = prohibitive_cost_bound(generate_instance(desk_config, 13))
+            taus = [0.0, 10.0, 40.0, 150.0, bound]
+        else:
+            taus = [0.0, 0.05, 0.5, 1.0, 2.0]
+        config = dataclasses.replace(desk_config, cost=TransactionCost(kind, 0.0))
+        rows = transaction_cost_sweep(config, taus, seed=13)
+        assert [r.tau for r in rows] == taus
+        for row in rows:
+            at_fee = dataclasses.replace(config, cost=TransactionCost(kind, row.tau))
+            plain = run_housing_sim(at_fee, 13)
+            assert row.total_gain.hex() == plain.total_gain.hex()
+            assert row.trades == plain.trade_count
+
+    def test_baseline_stage_runs_once_per_sweep(self, monkeypatch):
+        # A replication reads 4n hashed rows: n for the truthful picks, and n
+        # each for the augmented picks, the aftermarket's held values and its
+        # visits.  A k-fee sweep reads the first n once: n + 3kn.
+        n, rows = 60, []
+        row = HashedNormalValuations.row
+        monkeypatch.setattr(
+            HashedNormalValuations, "row", lambda self, j: rows.append(j) or row(self, j)
+        )
+        config = SimConfig(n_agents=n, cost=TransactionCost("fixed", 0.0))
+        run_housing_sim(config, seed=5)
+        assert len(rows) == 4 * n
+        rows.clear()
+        transaction_cost_sweep(config, [0.0, 25.0, 100.0], seed=5)
+        assert len(rows) == n + 3 * 3 * n
 
     def test_trades_nonincreasing_in_fixed_fee(self, desk_config):
         inst = generate_instance(desk_config, 13)

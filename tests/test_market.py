@@ -286,6 +286,16 @@ class TestValidateOutcome:
         problems = validate_outcome(paired_market, out, atol=0)
         assert any("transfer sum" in p for p in problems)
 
+    def test_transfer_sum_is_exact(self):
+        # Added left to right, 1e16 + 1.0 rounds to 1e16 and the sum is -1.
+        inst = MarketInstance.from_matrix(np.zeros((4, 4)))
+        transfers = (1e16, 1.0, -1e16, -1.0)
+        assert sum(transfers) == -1.0
+        assert validate_outcome(inst, Outcome(Allocation((0, 1, 2, 3)), transfers), atol=0) == []
+        off = (1e16, 1.0, -1e16, -0.5)
+        problems = validate_outcome(inst, Outcome(Allocation((0, 1, 2, 3)), off), atol=0.1)
+        assert problems == ["transfer sum != 0 (got 0.5)"]
+
     def test_duplicate_item_reported(self, paired_market):
         with pytest.raises(ValueError):
             Outcome(Allocation((0, 0)), (0.0, 0.0))

@@ -362,9 +362,13 @@ class TestStieltjes:
 
 
 def _clear_quadrature_caches():
-    for cache in (two_agent._offer_grid, two_agent._zoom_curve, two_agent._offer_envelope,
-                  two_agent._no_offer):
+    for cache in (two_agent._curve, two_agent._offer_envelope, two_agent.no_offer_probability):
         cache.cache_clear()
+
+
+def _grid(d, points):
+    """The cached acceptance curve on ``linspace(0, width, points)``."""
+    return two_agent._curve(d, d, 0.0, max(d.width, 0.0), points)
 
 
 def _digest(*values):
@@ -545,13 +549,13 @@ class TestSharedCurves:
     def test_cached_grids_match_pointwise_reference(self):
         for d in FAMILIES.values():
             for n in (two_agent._OFFER_GRID_POINTS, two_agent._ENVELOPE_GRID_POINTS):
-                ts, accept = two_agent._offer_grid(d, d, n)
+                ts, accept = _grid(d, n)
                 assert ts.tobytes() == np.linspace(0.0, d.width, n).tobytes()
                 assert accept.tobytes() == _acceptance_curve_reference(d, d, ts).tobytes()
 
     def test_cached_arrays_are_read_only(self):
         d = FAMILIES["truncnorm"]
-        ts, accept = two_agent._offer_grid(d, d, two_agent._OFFER_GRID_POINTS)
+        ts, accept = _grid(d, two_agent._OFFER_GRID_POINTS)
         offers, cuts = two_agent._offer_envelope(d, d)
         for array in (ts, accept, offers, cuts):
             assert not array.flags.writeable
@@ -567,7 +571,8 @@ class TestSharedCurves:
         calls = []
 
         def counted(f1a, f1b, ts):
-            calls.append(np.size(ts))
+            if np.size(ts) != two_agent._ZOOM_POINTS:  # the grids, not the zoom windows
+                calls.append(np.size(ts))
             return acceptance_curve(f1a, f1b, ts)
 
         monkeypatch.setattr(two_agent, "acceptance_curve", counted)
@@ -587,7 +592,7 @@ class TestSharedCurves:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_envelope_attains_the_grid_maximum(self, family):
         d = FAMILIES[family]
-        ts, accept = two_agent._offer_grid(d, d, two_agent._ENVELOPE_GRID_POINTS)
+        ts, accept = _grid(d, two_agent._ENVELOPE_GRID_POINTS)
         gains = np.random.default_rng(7).uniform(0.0, 1.2 * d.width, 300)
         offers = two_agent._grid_optimal_offers(gains, d, d)
         assert np.all(np.isin(offers, ts))
@@ -608,7 +613,7 @@ def _optimal_offer_reference(v2a, v2b, f1a, f1b):
     """The zoom search with every 33-offer window integrated afresh by
     ``_acceptance``: the ``(t_star, expected_payoff, acceptance)`` that
     ``optimal_offer`` must return byte for byte, cached windows or not."""
-    ts, accept = two_agent._offer_grid(f1a, f1b, two_agent._OFFER_GRID_POINTS)
+    ts, accept = two_agent._curve(f1a, f1b, 0.0, f1a.width, two_agent._OFFER_GRID_POINTS)
     points, span = [], math.inf
     while True:
         payoff = (v2a - ts) * accept + v2b * (1.0 - accept)
@@ -632,27 +637,36 @@ class TestOfferSearch:
     """``optimal_offer`` narrows its own grid argmax with the vectorized rule."""
 
     @pytest.mark.parametrize("d", SEARCH_FAMILIES, ids=repr)
-    def test_cached_windows_match_fresh_ones(self, d):
+    def test_cached_windows_match_fresh_ones(self, d, monkeypatch):
         # A 200-call sweep of the offerer's value that revisits each of 50
         # values four times, so most calls read cached windows: every answer
-        # equals the answer computed with cleared caches and the reference.
+        # equals the answer computed with every window fresh and the reference.
         v2a = _scaled(d, 0.95)
         distinct = [_scaled(d, v) for v in np.linspace(0.0, 0.9, 50)]
-        reference, cold = [], []
-        for v2b in distinct:
-            reference.append(np.array(_optimal_offer_reference(v2a, v2b, d, d)).tobytes())
-            two_agent._zoom_curve.cache_clear()
-            cold.append(_offer_bytes(optimal_offer(v2a, v2b, d, d)))
+        reference = [
+            np.array(_optimal_offer_reference(v2a, v2b, d, d)).tobytes() for v2b in distinct
+        ]
+        grid, fresh = _grid(d, two_agent._OFFER_GRID_POINTS), two_agent._curve.__wrapped__
+
+        def fresh_windows(outer, inner, lo, hi, points):
+            # The grid as cached; each zoom window integrated on every read.
+            return fresh(outer, inner, lo, hi, points) if points == two_agent._ZOOM_POINTS else grid
+
+        with monkeypatch.context() as m:
+            m.setattr(two_agent, "_curve", fresh_windows)
+            cold = [_offer_bytes(optimal_offer(v2a, v2b, d, d)) for v2b in distinct]
         assert cold == reference
-        two_agent._zoom_curve.cache_clear()
+        two_agent._curve.cache_clear()
         warm = [_offer_bytes(optimal_offer(v2a, v2b, d, d)) for v2b in distinct * 4]
         assert warm == reference * 4
-        assert two_agent._zoom_curve.cache_info().hits >= 150
+        # Every call but the first reads the grid from the cache; 150 more hits are windows.
+        assert two_agent._curve.cache_info().hits >= len(warm) - 1 + 150
 
     @pytest.mark.parametrize("d", SEARCH_FAMILIES, ids=repr)
     def test_zoom_windows_are_read_only(self, d):
-        ts, _ = two_agent._offer_grid(d, d, two_agent._OFFER_GRID_POINTS)
-        for array in two_agent._zoom_curve(d, d, float(ts[1]), float(ts[3])):
+        ts, _ = _grid(d, two_agent._OFFER_GRID_POINTS)
+        zoom = two_agent._curve(d, d, float(ts[1]), float(ts[3]), two_agent._ZOOM_POINTS)
+        for array in zoom:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
@@ -672,8 +686,8 @@ class TestOfferSearch:
         monkeypatch.setattr(two_agent, "_acceptance", lambda *a: pytest.fail("integrated again"))
         assert optimal_offer(_scaled(d, 0.23), _scaled(d, 0.2), d, d).t_star == 0.0
 
-    def test_zoom_cache_keeps_at_most_2048_windows(self):
-        assert two_agent._zoom_curve.cache_info().maxsize == 2048
+    def test_curve_cache_keeps_at_most_2048_curves(self):
+        assert two_agent._curve.cache_info().maxsize == 2048
 
     @pytest.mark.parametrize("d", SEARCH_FAMILIES, ids=repr)
     def test_calls_only_the_vectorized_rule(self, d, monkeypatch):
@@ -688,9 +702,10 @@ class TestOfferSearch:
         optimal_offer(_scaled(d, 0.9), _scaled(d, 0.1), d, d)  # fills the cached grid
         monkeypatch.setattr(two_agent, "_acceptance", counted)
         for v2a, v2b in SEARCH_VALUES:
+            # Cached zoom windows would make no call: clear them, then refill the grid.
+            two_agent._curve.cache_clear()
+            _grid(d, two_agent._OFFER_GRID_POINTS)
             vectorized.clear()
-            # Cached zoom windows would make no call; the cached grid stays.
-            two_agent._zoom_curve.cache_clear()
             optimal_offer(_scaled(d, v2a), _scaled(d, v2b), d, d)
             bound = math.ceil(math.log(2 * d.width / 2000 / 1e-5, 16))
             assert 1 <= len(vectorized) <= bound
@@ -808,7 +823,8 @@ class TestOfferLaw:
         calls = []
 
         def counted(f1a, f1b, ts):
-            calls.append(np.size(ts))
+            if np.size(ts) != two_agent._ZOOM_POINTS:  # the grids, not the zoom windows
+                calls.append(np.size(ts))
             return acceptance_curve(f1a, f1b, ts)
 
         monkeypatch.setattr(two_agent, "acceptance_curve", counted)
@@ -927,12 +943,12 @@ class TestFirstMoverContract:
             r = first_mover_expected_utility(0.7, 0.4, f2a, f2b, f1a, f1b, 5000, 8)
             return [x.hex() for x in (r.eu_choose_a, r.eu_choose_b, r.se_choose_a, r.se_choose_b)]
 
-        two_agent._no_offer.cache_clear()
+        two_agent.no_offer_probability.cache_clear()
         cold = run()
-        misses = two_agent._no_offer.cache_info().misses
+        misses = two_agent.no_offer_probability.cache_info().misses
         assert misses == len({(f2b, f2a), (f2a, f2b)})
         assert run() == cold
-        assert two_agent._no_offer.cache_info().misses == misses
+        assert two_agent.no_offer_probability.cache_info().misses == misses
 
     @pytest.mark.parametrize("family", ["uniform", "truncnorm"])
     def test_threshold_on_an_envelope_offer(self, family):
